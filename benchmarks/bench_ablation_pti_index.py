@@ -11,7 +11,6 @@ Run: ``pytest benchmarks/bench_ablation_pti_index.py --benchmark-only -q``
 
 import time
 
-import pytest
 
 from repro.bench.figures import _build_database
 from repro.bench.protocol import cold_start

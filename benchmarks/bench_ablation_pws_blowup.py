@@ -12,7 +12,6 @@ Run: ``pytest benchmarks/bench_ablation_pws_blowup.py --benchmark-only -q``
 
 import time
 
-import pytest
 
 from repro.bench.reporting import print_figure
 from repro.core import (

@@ -9,7 +9,6 @@ notes that ignoring histories yields incorrect answers (Figure 3).
 Run: ``pytest benchmarks/bench_fig6_history_overhead.py --benchmark-only -q``
 """
 
-import pytest
 
 from repro.bench.figures import _history_workload, fig6_history_overhead
 from repro.bench.reporting import print_figure

@@ -1,8 +1,8 @@
 """Join/aggregate hot-path benchmark: columnar hash join + vectorized GROUP BY.
 
 Joins an uncertain readings relation against a certain sites dimension and
-aggregates per region (COUNT + EXPECTED), sweeping batch size and the
-columnar flag exactly like ``bench_micro_engine.py``'s selection sweep.
+aggregates per region (COUNT + EXPECTED), sweeping batch size exactly like
+``bench_micro_engine.py``'s selection sweep.
 Writes ``BENCH_join.json`` at the repo root; the top-level ``variants``
 carry the headline join+GROUP BY pipeline cells (so
 ``check_perf_regression.py`` guards them unchanged), with the pure-join
@@ -26,7 +26,6 @@ from repro.bench.envinfo import environment_info
 from repro.bench.protocol import pdf_cache_stats
 from repro.core import Column, DataType, ProbabilisticRelation, ProbabilisticSchema
 from repro.core.history import HistoryStore
-from repro.core.model import ModelConfig
 from repro.core.operations import PDF_OP_CACHE
 from repro.core.predicates import And, Comparison, col
 from repro.engine.executor import (
@@ -106,7 +105,7 @@ def _result_key(rows):
 
 
 def _sweep(store, make_plan, scalar_run):
-    """The shared cold/warm interleaved protocol over (size, columnar) cells.
+    """The shared cold/warm interleaved protocol over batch-size cells.
 
     Every run starts from the same history-store id snapshot, so the id
     streams — and therefore the result fingerprints — must match exactly.
@@ -121,12 +120,12 @@ def _sweep(store, make_plan, scalar_run):
         reset_ids()
         return scalar_run()
 
-    def cold_cell(size, columnar):
+    def cold_cell(size):
         PDF_OP_CACHE.reset()
         reset_ids()
-        return [t for b in make_plan(columnar).batches(size) for t in b.tuples]
+        return [t for b in make_plan().batches(size) for t in b.tuples]
 
-    cells = [(size, columnar) for size in BATCH_SIZES for columnar in (False, True)]
+    cells = BATCH_SIZES
     scalar_t = float("inf")
     best = {cell: float("inf") for cell in cells}
     scalar_rows = None
@@ -137,31 +136,31 @@ def _sweep(store, make_plan, scalar_run):
     for _ in range(5):
         t, scalar_rows = _timed(cold_scalar)
         scalar_t = min(scalar_t, t)
-        for cell in cells:
-            t, rows_by_cell[cell] = _timed(lambda: cold_cell(*cell))
-            cold_by_cell[cell] = pdf_cache_stats()
-            best[cell] = min(best[cell], t)
+        for size in cells:
+            t, rows_by_cell[size] = _timed(lambda: cold_cell(size))
+            cold_by_cell[size] = pdf_cache_stats()
+            best[size] = min(best[size], t)
 
     scalar_key = _result_key(scalar_rows)
     variants = []
-    for size, columnar in cells:
-        assert _result_key(rows_by_cell[(size, columnar)]) == scalar_key, (
-            f"cell (batch={size}, columnar={columnar}) diverged from reference"
+    for size in cells:
+        assert _result_key(rows_by_cell[size]) == scalar_key, (
+            f"cell (batch={size}) diverged from reference"
         )
         PDF_OP_CACHE.hits = 0  # warm protocol: keep entries, zero counters
         PDF_OP_CACHE.misses = 0
         reset_ids()
         warm_t0 = time.perf_counter()
-        warm_rows = [t for b in make_plan(columnar).batches(size) for t in b.tuples]
+        warm_rows = [t for b in make_plan().batches(size) for t in b.tuples]
         warm_t = time.perf_counter() - warm_t0
         assert len(warm_rows) == len(scalar_rows)
         variants.append(
             {
                 "batch_size": size,
-                "columnar": columnar,
-                "seconds": best[(size, columnar)],
-                "speedup": scalar_t / best[(size, columnar)],
-                "cold_cache": cold_by_cell[(size, columnar)],
+                "columnar": True,  # every batch path is columnar
+                "seconds": best[size],
+                "speedup": scalar_t / best[size],
+                "cold_cache": cold_by_cell[size],
                 "warm_seconds": warm_t,
                 "warm_cache": pdf_cache_stats(),
             }
@@ -176,55 +175,41 @@ def bench_join_groupby_sweep(benchmark, capsys):
     The headline cells: ``readings WHERE PROB(temp in (18,24)) > 0.9 JOIN
     sites ON site = site_id`` followed by ``GROUP BY region`` with COUNT(*)
     and EXPECTED(temp) — the paper's Section III-E threshold shape feeding
-    an analytic rollup.  Batch >= 256 columnar must reach ``PIPELINE_BAR``
+    an analytic rollup.  Batch >= 256 must reach ``PIPELINE_BAR``
     (10x at the full ``SWEEP_N``); the pure-join sweep must stay at least
     at ``JOIN_PARITY_BAR`` of the scalar reference.
     """
     store, readings, sites = _build()
     pred = Comparison("site", "=", col("site_id"))
     range_pred = And([Comparison("temp", ">", 18.0), Comparison("temp", "<", 24.0)])
-    legacy_cfg = ModelConfig(columnar=False)
-    columnar_cfg = ModelConfig(columnar=True)
-
-    def make_join(columnar, left=None):
-        cfg = columnar_cfg if columnar else legacy_cfg
+    def make_join(left=None):
         return HashJoin(
-            left if left is not None else RelationScan(readings, columnar=columnar),
-            RelationScan(sites, columnar=columnar),
+            left if left is not None else RelationScan(readings),
+            RelationScan(sites),
             "site",
             "site_id",
             pred,
             store,
-            cfg,
         )
 
-    def make_pipeline(columnar):
+    def make_pipeline():
         # The paper's Section III-E threshold-query shape feeding an
         # analytic rollup: likely readings join their site dimension, then
         # per-region COUNT (Poisson-binomial) and EXPECTED(temp).
-        cfg = columnar_cfg if columnar else legacy_cfg
-        probable = ProbFilter(
-            RelationScan(readings, columnar=columnar),
-            range_pred,
-            ">",
-            0.9,
-            store,
-            cfg,
-        )
+        probable = ProbFilter(RelationScan(readings), range_pred, ">", 0.9, store)
         return GroupAggregate(
-            make_join(columnar, left=probable),
+            make_join(left=probable),
             ["region"],
             [AggSpec("count"), AggSpec("expected", "temp")],
             store,
-            cfg,
         )
 
     def run():
         pipe_scalar_t, pipe_rows, pipe_variants = _sweep(
-            store, make_pipeline, lambda: list(iter(make_pipeline(False)))
+            store, make_pipeline, lambda: list(iter(make_pipeline()))
         )
         join_scalar_t, join_rows, join_variants = _sweep(
-            store, make_join, lambda: list(iter(make_join(False)))
+            store, make_join, lambda: list(iter(make_join()))
         )
         return {
             "workload": "equi_join_groupby",
@@ -267,11 +252,10 @@ def bench_join_groupby_sweep(benchmark, capsys):
         ):
             print_figure(
                 title,
-                ["batch_size", "variant", "seconds", "speedup", "warm_hit_rate"],
+                ["batch_size", "seconds", "speedup", "warm_hit_rate"],
                 [
                     [
                         v["batch_size"],
-                        "columnar" if v["columnar"] else "batched",
                         v["seconds"],
                         v["speedup"],
                         v["warm_cache"]["hit_rate"],
@@ -281,11 +265,7 @@ def bench_join_groupby_sweep(benchmark, capsys):
             )
         print(f"wrote {out_path}")
 
-    pipe = [
-        v["speedup"]
-        for v in report["variants"]
-        if v["batch_size"] >= 256 and v["columnar"]
-    ]
+    pipe = [v["speedup"] for v in report["variants"] if v["batch_size"] >= 256]
     assert max(pipe) >= PIPELINE_BAR, (
         f"join+GROUP BY columnar >=256 speedups {pipe} below the "
         f"{PIPELINE_BAR}x bar"
@@ -293,7 +273,7 @@ def bench_join_groupby_sweep(benchmark, capsys):
     join = [
         v["speedup"]
         for v in report["join_only"]["variants"]
-        if v["batch_size"] >= 256 and v["columnar"]
+        if v["batch_size"] >= 256
     ]
     assert max(join) >= JOIN_PARITY_BAR, (
         f"join columnar >=256 speedups {join} regressed below "

@@ -21,7 +21,6 @@ import pytest
 from repro.bench.envinfo import environment_info
 from repro.bench.protocol import pdf_cache_stats
 from repro.core import Column, DataType, ProbabilisticRelation, ProbabilisticSchema
-from repro.core.model import ModelConfig
 from repro.core.operations import PDF_OP_CACHE
 from repro.core.predicates import And, Comparison, col
 from repro.engine.executor import (
@@ -178,40 +177,34 @@ def _timed(fn):
 
 
 def bench_batch_pipeline_sweep(benchmark, capsys):
-    """Scalar vs batched vs columnar Gaussian range selection.
+    """Scalar vs columnar Gaussian range selection.
 
-    Writes ``BENCH_engine.json``.  For every (batch size, variant) cell the
-    result set must be bitwise identical to the scalar reference.  Batch
-    >= 256 must deliver >= 3x scalar on the legacy batched path, and the
+    Writes ``BENCH_engine.json``.  For every batch size the result set must
+    be bitwise identical to the scalar reference, and at batch >= 256 the
     columnar struct-of-arrays path must reach ``COLUMNAR_BAR`` (10x at the
     full ``SWEEP_N``) — the ROADMAP "columnar batch representation" bar.
     """
     rel = _gaussian_relation()
     pred = And([Comparison("temp", ">", 18.0), Comparison("temp", "<", 24.0)])
-    legacy_cfg = ModelConfig(columnar=False)
-    columnar_cfg = ModelConfig(columnar=True)
 
-    def make_plan(columnar):
-        cfg = columnar_cfg if columnar else legacy_cfg
-        return Filter(RelationScan(rel, columnar=columnar), pred, rel.store, cfg)
+    def make_plan():
+        return Filter(RelationScan(rel), pred, rel.store)
 
     def scalar_run():
         PDF_OP_CACHE.reset()  # cold pdf-op cache per run
-        return list(make_plan(False))
+        return list(make_plan())
 
-    def batch_run(size, columnar):
+    def batch_run(size):
         PDF_OP_CACHE.reset()
-        return [t for b in make_plan(columnar).batches(size) for t in b.tuples]
+        return [t for b in make_plan().batches(size) for t in b.tuples]
 
     def run():
         # Interleave the cold repeats of the scalar baseline and every
-        # (size, variant) cell round-robin, taking the per-cell minimum.
+        # batch-size cell round-robin, taking the per-cell minimum.
         # Sequential best-of-N lets a mid-sweep frequency or load shift hit
-        # the baseline and the variants unequally and skew every speedup the
+        # the baseline and the cells unequally and skew every speedup the
         # same direction; interleaving spreads drift evenly across cells.
-        cells = [
-            (size, columnar) for size in BATCH_SIZES for columnar in (False, True)
-        ]
+        cells = BATCH_SIZES
         scalar_t = float("inf")
         best = {cell: float("inf") for cell in cells}
         scalar_rows = None
@@ -220,30 +213,28 @@ def bench_batch_pipeline_sweep(benchmark, capsys):
         for _ in range(5):
             t, scalar_rows = _timed(scalar_run)
             scalar_t = min(scalar_t, t)
-            for cell in cells:
-                t, rows_by_cell[cell] = _timed(lambda: batch_run(*cell))
-                cold_by_cell[cell] = pdf_cache_stats()
-                best[cell] = min(best[cell], t)
+            for size in cells:
+                t, rows_by_cell[size] = _timed(lambda: batch_run(size))
+                cold_by_cell[size] = pdf_cache_stats()
+                best[size] = min(best[size], t)
         scalar_key = [(t.tuple_id, t.certain["sid"]) for t in scalar_rows]
         variants = []
-        for size, columnar in cells:
-            rows = rows_by_cell[(size, columnar)]
+        for size in cells:
+            rows = rows_by_cell[size]
             assert [(t.tuple_id, t.certain["sid"]) for t in rows] == scalar_key
             PDF_OP_CACHE.hits = 0  # warm protocol: keep entries, zero counters
             PDF_OP_CACHE.misses = 0
             warm_t0 = time.perf_counter()
-            warm_rows = [
-                t for b in make_plan(columnar).batches(size) for t in b.tuples
-            ]
+            warm_rows = [t for b in make_plan().batches(size) for t in b.tuples]
             warm_t = time.perf_counter() - warm_t0
             assert len(warm_rows) == len(scalar_rows)
             variants.append(
                 {
                     "batch_size": size,
-                    "columnar": columnar,
-                    "seconds": best[(size, columnar)],
-                    "speedup": scalar_t / best[(size, columnar)],
-                    "cold_cache": cold_by_cell[(size, columnar)],
+                    "columnar": True,  # every batch path is columnar
+                    "seconds": best[size],
+                    "speedup": scalar_t / best[size],
+                    "cold_cache": cold_by_cell[size],
                     "warm_seconds": warm_t,
                     "warm_cache": pdf_cache_stats(),
                 }
@@ -268,13 +259,12 @@ def bench_batch_pipeline_sweep(benchmark, capsys):
         from repro.bench.reporting import print_figure
 
         print_figure(
-            "Batched pipeline: Gaussian range selection (scalar baseline "
+            "Columnar pipeline: Gaussian range selection (scalar baseline "
             f"{report['scalar_seconds'] * 1000:.2f} ms)",
-            ["batch_size", "variant", "seconds", "speedup", "warm_hit_rate"],
+            ["batch_size", "seconds", "speedup", "warm_hit_rate"],
             [
                 [
                     v["batch_size"],
-                    "columnar" if v["columnar"] else "batched",
                     v["seconds"],
                     v["speedup"],
                     v["warm_cache"]["hit_rate"],
@@ -284,17 +274,7 @@ def bench_batch_pipeline_sweep(benchmark, capsys):
         )
         print(f"wrote {out_path}")
 
-    big = [
-        v["speedup"]
-        for v in report["variants"]
-        if v["batch_size"] >= 256 and not v["columnar"]
-    ]
-    assert max(big) >= 3.0, f"batch >=256 speedups {big} below the 3x bar"
-    col = [
-        v["speedup"]
-        for v in report["variants"]
-        if v["batch_size"] >= 256 and v["columnar"]
-    ]
+    col = [v["speedup"] for v in report["variants"] if v["batch_size"] >= 256]
     assert max(col) >= COLUMNAR_BAR, (
         f"columnar >=256 speedups {col} below the {COLUMNAR_BAR}x bar"
     )
@@ -344,16 +324,14 @@ def _join_operands():
     return store, readings, sites
 
 
-def _hash_join(store, readings, sites, columnar):
-    cfg = ModelConfig(columnar=columnar)
+def _hash_join(store, readings, sites):
     return HashJoin(
-        RelationScan(readings, columnar=columnar),
-        RelationScan(sites, columnar=columnar),
+        RelationScan(readings),
+        RelationScan(sites),
         "site",
         "site_id",
         Comparison("site", "=", col("site_id")),
         store,
-        cfg,
     )
 
 
@@ -362,7 +340,7 @@ def bench_hash_join_columnar(benchmark):
     store, readings, sites = _join_operands()
 
     def run():
-        op = _hash_join(store, readings, sites, columnar=True)
+        op = _hash_join(store, readings, sites)
         return sum(len(b.tuples) for b in op.batches(256))
 
     assert run() == _JOIN_N
@@ -374,7 +352,7 @@ def bench_hash_join_reference(benchmark):
     store, readings, sites = _join_operands()
 
     def run():
-        return sum(1 for _ in _hash_join(store, readings, sites, columnar=False))
+        return sum(1 for _ in _hash_join(store, readings, sites))
 
     assert run() == _JOIN_N
     benchmark.pedantic(run, rounds=3)
@@ -386,11 +364,10 @@ def bench_group_aggregate_columnar(benchmark):
 
     def run():
         op = GroupAggregate(
-            _hash_join(store, readings, sites, columnar=True),
+            _hash_join(store, readings, sites),
             ["region"],
             [AggSpec("count"), AggSpec("expected", "temp")],
             store,
-            ModelConfig(columnar=True),
         )
         return sum(len(b.tuples) for b in op.batches(256))
 
@@ -404,11 +381,10 @@ def bench_group_aggregate_reference(benchmark):
 
     def run():
         op = GroupAggregate(
-            _hash_join(store, readings, sites, columnar=False),
+            _hash_join(store, readings, sites),
             ["region"],
             [AggSpec("count"), AggSpec("expected", "temp")],
             store,
-            ModelConfig(columnar=False),
         )
         return sum(1 for _ in op)
 

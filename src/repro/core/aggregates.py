@@ -19,15 +19,14 @@ otherwise (correlated aggregation would require joint enumeration).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from ..errors import QueryError, UnsupportedOperationError
-from ..pdf.arithmetic import convolve_histograms, sum_independent
+from ..pdf.arithmetic import sum_independent
 from ..pdf.base import UnivariatePdf
 from ..pdf.continuous import ExponentialPdf, GaussianPdf, UniformPdf
-from ..pdf.convert import to_histogram
 from ..pdf.discrete import DiscretePdf
 from ..pdf.histogram import HistogramPdf
 from .model import DEFAULT_CONFIG, ModelConfig, ProbabilisticRelation

@@ -16,12 +16,12 @@ compares them.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from ..errors import SchemaError
-from .history import Lineage, historically_dependent, rename_lineage
+from .history import historically_dependent, rename_lineage
 from .model import (
     DEFAULT_CONFIG,
     ModelConfig,

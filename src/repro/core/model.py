@@ -85,50 +85,28 @@ class ModelConfig:
         at the end of Section III-D); the default is lazy.
     ``batch_size``
         Tuples per batch in the vectorized executor pipeline.  ``1``
-        disables batching (tuple-at-a-time Volcano iteration); larger sizes
-        amortize page pins and let same-family pdfs share one kernel sweep.
-    ``workers``
-        Worker count for the morsel-driven parallel executor.  ``1`` (the
-        default) keeps the serial pipeline — bitwise identical to the
-        pre-parallel engine.  Larger values split scans into morsels and
-        joins into partitions, run them on a worker pool, and gather the
-        streams back in deterministic (serial-equivalent) order.
-    ``parallel_backend``
-        ``"thread"`` (default) runs morsels on a thread pool — the numpy /
-        scipy kernel sweeps release the GIL, so batched symbolic workloads
-        overlap.  ``"process"`` forks a process pool per query for
-        pure-python pdf paths; it falls back to threads where ``fork`` is
-        unavailable.
-    ``morsel_size``
-        Target number of tuples per morsel.  Scans round this to whole
-        pages so each morsel decodes an integral page run.
+        disables batching (tuple-at-a-time Volcano iteration, the reference
+        semantics); larger sizes amortize page pins and let same-family
+        pdfs share one columnar kernel sweep.
     ``scan_pruning``
         When True (the default), sequential scans consult per-page
         synopses (min/max of certain values, union of pdf support bounds,
         page-max mass) and skip pages that provably hold zero qualifying
         mass for the query's range and ``PROB`` threshold conjuncts.
         Pruning is sound — pruned tuples would be dropped by the plan's
-        own filters — and pruned pages never become parallel morsels.
+        own filters.
     ``lazy_decode``
         When True (the default), pruned sequential scans decode each
         record's cheap fixed prefix (certain values + per-dependency-set
         mass/support summary) first and deserialize the pdf payload only
         for tuples that survive the certain-attribute predicate and the
         per-tuple support/mass tests.
-    ``columnar``
-        When True (the default), scans emit
-        :class:`~repro.engine.executor.columnar.ColumnarBatch` es carrying
-        struct-of-arrays views (per-family pdf parameter arrays, tuple-id
-        and certain-value vectors), and Filter / ProbFilter /
-        ThresholdFilter evaluate their fast paths as fused ufunc sweeps
-        over those arrays.  ``False`` keeps the list-of-tuples batches.
-        Either way the scalar iterator remains the reference semantics;
-        the columnar path is asserted bitwise identical to it.
     ``work_mem``
         Per-operator working-memory budget in bytes for the blocking
         operators (hash join build side, ORDER BY, ORDER BY PROB(*),
         DISTINCT).  ``None`` or ``0`` (the default) means unlimited: every
-        operator materialises in memory exactly as before.  With a budget
+        operator materialises in memory exactly as before; a negative
+        budget raises ``ValueError``.  With a budget
         set, a hash join whose build side exceeds it switches to a
         Grace-style partitioned spill join, and sorts/DISTINCT spill
         sorted runs and merge them back — both asserted bitwise identical
@@ -148,41 +126,17 @@ class ModelConfig:
     mass_epsilon: float = 1e-6
     eager_merge: bool = False
     batch_size: int = 256
-    workers: int = 1
-    parallel_backend: str = "thread"
-    morsel_size: int = 1024
     scan_pruning: bool = True
     lazy_decode: bool = True
-    columnar: bool = True
     work_mem: Optional[int] = None
     spill_dir: Optional[str] = None
 
-
-def _config_from_env() -> "ModelConfig":
-    """The process-default config, honoring REPRO_* environment overrides.
-
-    ``REPRO_WORKERS`` / ``REPRO_PARALLEL_BACKEND`` let CI exercise the
-    parallel executor across the whole suite without touching call sites;
-    ``REPRO_COLUMNAR=0`` likewise forces the list-of-tuples batch path, and
-    ``REPRO_WORK_MEM=<bytes>`` forces the spill-to-disk operator paths.
-    """
-    import os
-
-    workers = int(os.environ.get("REPRO_WORKERS", "1") or "1")
-    backend = os.environ.get("REPRO_PARALLEL_BACKEND", "thread") or "thread"
-    columnar = os.environ.get("REPRO_COLUMNAR", "1") not in ("0", "false", "off")
-    work_mem = int(os.environ.get("REPRO_WORK_MEM", "0") or "0") or None
-    if workers == 1 and backend == "thread" and columnar and work_mem is None:
-        return ModelConfig()
-    return ModelConfig(
-        workers=workers,
-        parallel_backend=backend,
-        columnar=columnar,
-        work_mem=work_mem,
-    )
+    def __post_init__(self) -> None:
+        if self.work_mem is not None and self.work_mem < 0:
+            raise ValueError(f"work_mem must be >= 0 bytes, got {self.work_mem}")
 
 
-DEFAULT_CONFIG = _config_from_env()
+DEFAULT_CONFIG = ModelConfig()
 
 
 DependencySpec = Iterable[Iterable[str]]

@@ -337,7 +337,6 @@ class SelectionPlan:
         epsilon = self.config.mass_epsilon
         merged_set = self._merged_set
         untouched = self._untouched
-        dep = self._fast_dep
         adopt = ProbabilisticTuple._adopt
         from_parts = FlooredPdf._from_parts
         results: List[Optional[ProbabilisticTuple]] = [None] * len(tuples)

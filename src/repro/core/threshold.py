@@ -14,10 +14,9 @@ probability under the closed-world partial-pdf reading.
 from __future__ import annotations
 
 import operator
-from typing import Callable, FrozenSet, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..errors import QueryError
-from .history import Lineage
 from .model import (
     DEFAULT_CONFIG,
     ModelConfig,

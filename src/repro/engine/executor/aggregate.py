@@ -209,15 +209,12 @@ class GroupAggregate(Operator):
         )
 
     def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        return self._execute(iter(self.child))
+        return self._execute_reference(iter(self.child))
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         return batched(self._execute(flatten(self.child.batches(size))), size)
 
     def _execute(self, source) -> Iterator[ProbabilisticTuple]:
-        if not self.config.columnar:
-            yield from self._execute_reference(source)
-            return
         tuples = list(source)
         emit = self._execute_columnar(tuples)
         if emit is None:

@@ -7,8 +7,8 @@ tuple per ``next()`` call.  Each operator implements
 iterator, so every operator is batch-capable and batch-native operators
 (scans that decode a pinned page at a time, filters that hand whole batches
 to the vectorized selection kernels) override it for speed.  The scalar
-``__iter__`` protocol remains intact as a compatibility shim; both paths
-produce identical tuples in identical order.
+``__iter__`` protocol is the reference oracle and calls no kernel; both
+paths produce identical tuples in identical order.
 """
 
 from __future__ import annotations

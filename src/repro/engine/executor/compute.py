@@ -2,35 +2,28 @@
 
 ``Compute(child, [(expr, name), ...])`` appends one certain REAL column per
 item, evaluated over the tuple's certain attributes.  It is per-tuple and
-order-preserving (ids pass through untouched, like projection), so the
-parallel executor maps it over morsels freely.
+order-preserving (ids pass through untouched, like projection).
 
-With ``ModelConfig.columnar`` on and a batch that can serve float64 column
-views, each expression evaluates as one vectorized sweep over the whole
-batch — ``compute_kernels`` in EXPLAIN ANALYZE counts those sweeps.  Rows a
-column view cannot express fall back to the scalar evaluator; both paths
-compute in IEEE float64, so results are bitwise identical.
+On the batch path, a batch that can serve float64 column views evaluates
+each expression as one vectorized sweep over the whole batch —
+``compute_kernels`` in EXPLAIN ANALYZE counts those sweeps.  Rows a column
+view cannot express fall back to the scalar evaluator, which is also the
+scalar iterator's reference path; both compute in IEEE float64, so results
+are bitwise identical.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from ...core.expr import Expr
 from ...core.history import HistoryStore
-from ...core.model import (
-    DEFAULT_CONFIG,
-    Column,
-    DataType,
-    ModelConfig,
-    ProbabilisticSchema,
-    ProbabilisticTuple,
-)
+from ...core.model import Column, DataType, ProbabilisticSchema, ProbabilisticTuple
 from ...errors import QueryError
 from .base import Operator
-from .batch import DEFAULT_BATCH_SIZE, TupleBatch, batched, flatten
+from .batch import DEFAULT_BATCH_SIZE, TupleBatch
 from .columnar import ColumnarBatch
 
 __all__ = ["Compute"]
@@ -44,7 +37,6 @@ class Compute(Operator):
         child: Operator,
         items: Sequence[Tuple[Expr, str]],
         store: HistoryStore,
-        config: ModelConfig = DEFAULT_CONFIG,
     ):
         if not items:
             raise QueryError("Compute needs at least one expression")
@@ -65,7 +57,6 @@ class Compute(Operator):
         self.child = child
         self.items = list(items)
         self.store = store
-        self.config = config
         self.compute_kernels = 0
         new_columns = [Column(name, DataType.REAL) for _, name in self.items]
         self.output_schema = ProbabilisticSchema(
@@ -83,9 +74,7 @@ class Compute(Operator):
     def _apply_batch(self, batch: TupleBatch) -> List[ProbabilisticTuple]:
         tuples = batch.tuples
         n = len(tuples)
-        if not (
-            self.config.columnar and isinstance(batch, ColumnarBatch) and n
-        ):
+        if not (isinstance(batch, ColumnarBatch) and n):
             return [self._apply_scalar(t) for t in tuples]
 
         def getcol(attr: str):
@@ -121,7 +110,8 @@ class Compute(Operator):
     # -- operator protocol --------------------------------------------------
 
     def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        return flatten(self.batches(self.config.batch_size or DEFAULT_BATCH_SIZE))
+        for t in self.child:
+            yield self._apply_scalar(t)
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         for batch in self.child.batches(size):

@@ -66,6 +66,21 @@ _THRESH_OPS = {
 }
 
 
+def _kernel_extras(plan: SelectionPlan) -> List[str]:
+    """EXPLAIN ANALYZE counters of a plan's columnar selection sweeps."""
+    stats = plan.columnar_stats
+    kernel, fallback = stats["kernel_rows"], stats["fallback_rows"]
+    if not kernel and not fallback:
+        return []
+    extras = [f"columnar_rows={kernel}/{kernel + fallback}"]
+    if stats["families"]:
+        fams = ",".join(
+            f"{name}:{count}" for name, count in sorted(stats["families"].items())
+        )
+        extras.append(f"kernels={fams}")
+    return extras
+
+
 class Filter(Operator):
     """σ over a stream, via the shared SelectionPlan."""
 
@@ -92,11 +107,9 @@ class Filter(Operator):
         return self._count_tuples(run())
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
-        columnar = self.plan.config.columnar
-
         def run():
             for batch in self.child.batches(size):
-                if columnar and type(batch) is ColumnarBatch:
+                if type(batch) is ColumnarBatch:
                     results = self.plan.apply_columnar(batch, self.store)
                 else:
                     results = self.plan.apply_batch(batch.tuples, self.store)
@@ -110,17 +123,7 @@ class Filter(Operator):
         return [self.child]
 
     def explain_extras(self) -> List[str]:
-        stats = self.plan.columnar_stats
-        kernel, fallback = stats["kernel_rows"], stats["fallback_rows"]
-        if not kernel and not fallback:
-            return []
-        extras = [f"columnar_rows={kernel}/{kernel + fallback}"]
-        if stats["families"]:
-            fams = ",".join(
-                f"{name}:{count}" for name, count in sorted(stats["families"].items())
-            )
-            extras.append(f"kernels={fams}")
-        return extras
+        return _kernel_extras(self.plan)
 
     def label(self) -> str:
         return f"Filter({self.predicate!r})"
@@ -294,16 +297,16 @@ class HashJoin(Operator):
     is still applied through the SelectionPlan after the hash pre-filter —
     the hash only prunes pairs whose certain keys cannot match.
 
-    With ``ModelConfig.columnar`` on, the batch path builds a float64 key
-    vector over the (renamed) right input, sorts it stably, and probes each
-    left batch's key column with one vectorized ``searchsorted`` sweep per
-    batch instead of a dict lookup per row.  The stable sort keeps equal
-    keys in right-scan insertion order, and matched-pair ids come from one
-    contiguous block allocation, so the emitted pair stream — ids, order,
-    contents — is bitwise identical to the reference bucket path.  Keys the
-    float vector cannot represent faithfully (strings, nan, magnitudes >=
-    2**53) fall back to the reference dict per side; a fallback is a
-    performance event, never a semantic one.
+    The batch path builds a float64 key vector over the (renamed) right
+    input, sorts it stably, and probes each left batch's key column with
+    one vectorized ``searchsorted`` sweep per batch instead of a dict
+    lookup per row.  The stable sort keeps equal keys in right-scan
+    insertion order, and matched-pair ids come from one contiguous block
+    allocation, so the emitted pair stream — ids, order, contents — is
+    bitwise identical to the reference bucket path.  Keys the float vector
+    cannot represent faithfully (strings, nan, magnitudes >= 2**53) fall
+    back to the reference dict per side; a fallback is a performance
+    event, never a semantic one.
     """
 
     def __init__(
@@ -413,10 +416,9 @@ class HashJoin(Operator):
     ) -> Iterator[TupleBatch]:
         probe_key = self._renames.get(self.right_key, self.right_key)
         index = None
-        if self.config.columnar:
-            gathered = gather_key_vector(inner, probe_key)
-            if gathered is not None and keys_kernelizable(*gathered):
-                index = build_probe_index(*gathered)
+        gathered = gather_key_vector(inner, probe_key)
+        if gathered is not None and keys_kernelizable(*gathered):
+            index = build_probe_index(*gathered)
         if index is None:
             yield from _select_batches(
                 self.plan,
@@ -775,11 +777,9 @@ class ProbFilter(Operator):
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         compare = _THRESH_OPS[self.op]
-        columnar = self.config.columnar
         for batch in self.child.batches(size):
-            fast = None
-            if columnar and type(batch) is ColumnarBatch:
-                fast = self.plan.probabilities_columnar(batch)
+            columnar = type(batch) is ColumnarBatch
+            fast = self.plan.probabilities_columnar(batch) if columnar else None
             if fast is not None:
                 probs, leftover = fast
                 if leftover:
@@ -797,7 +797,7 @@ class ProbFilter(Operator):
                     if compare(p, self.threshold)
                 ]
             else:
-                if columnar and type(batch) is ColumnarBatch:
+                if columnar:
                     selected = self.plan.apply_columnar(batch, self.store)
                 else:
                     selected = self.plan.apply_batch(batch.tuples, self.store)
@@ -814,17 +814,7 @@ class ProbFilter(Operator):
         return [self.child]
 
     def explain_extras(self) -> List[str]:
-        stats = self.plan.columnar_stats
-        kernel, fallback = stats["kernel_rows"], stats["fallback_rows"]
-        if not kernel and not fallback:
-            return []
-        extras = [f"columnar_rows={kernel}/{kernel + fallback}"]
-        if stats["families"]:
-            fams = ",".join(
-                f"{name}:{count}" for name, count in sorted(stats["families"].items())
-            )
-            extras.append(f"kernels={fams}")
-        return extras
+        return _kernel_extras(self.plan)
 
     def label(self) -> str:
         return f"ProbFilter(Pr({self.predicate!r}) {self.op} {self.threshold:g})"
@@ -865,9 +855,9 @@ class ThresholdFilter(Operator):
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         compare = _THRESH_OPS[self.op]
-        columnar = self.config.columnar and len(self.output_schema.dependency) == 1
+        single_dep = len(self.output_schema.dependency) == 1
         for batch in self.child.batches(size):
-            if columnar and type(batch) is ColumnarBatch:
+            if single_dep and type(batch) is ColumnarBatch:
                 probs = columnar_probability_of(
                     batch, self.store, self.attrs, self.config
                 )

@@ -7,9 +7,9 @@ the working set exceeds the pool, proportionally more *physical* reads.
 The pool exposes both logical and physical counters so benchmarks can
 report each.
 
-One coarse latch guards the frame table: the morsel-driven parallel
-executor's scan workers share the pool, and the LRU bookkeeping
-(``move_to_end`` racing ``popitem``) is not safe to interleave.  There are
+One coarse latch guards the frame table: any threads that share the pool
+(an embedding application's, say) must not interleave the LRU bookkeeping
+(``move_to_end`` racing ``popitem``).  There are
 still no pin counts — an operator holds a page only within one
 ``get_page`` call, and the page bytes themselves are read-only during
 query execution.
@@ -24,7 +24,7 @@ from typing import Dict, Optional, Type
 
 from ...errors import StorageError
 from .disk import Disk, MemoryDisk
-from .page import JumboPage, Page, PAGE_SIZE
+from .page import JumboPage, Page
 
 __all__ = ["BufferPool", "BufferStats"]
 
@@ -60,15 +60,6 @@ class BufferPool:
         self.stats = BufferStats()
         self._frames: "OrderedDict[int, Page]" = OrderedDict()
         self._jumbo: Dict[int, bool] = {}  # page_id -> decoded as JumboPage?
-        self._latch = threading.RLock()
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_latch"]
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
         self._latch = threading.RLock()
 
     # -- page lifecycle ------------------------------------------------------

@@ -18,7 +18,7 @@ Everything round-trips exactly (floats are stored as IEEE 754 doubles).
 from __future__ import annotations
 
 import struct
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 import numpy as np
 

@@ -104,19 +104,6 @@ class ContinuousPdf(UnivariatePdf):
     def __hash__(self) -> int:
         return hash((type(self).__name__, self.attrs, tuple(sorted(self._params.items()))))
 
-    def __getstate__(self):
-        # The scipy factory is a closure and cannot cross process
-        # boundaries (parallel executor, process backend); it is rebuilt
-        # from the parameters on unpickle.
-        state = self.__dict__.copy()
-        state["_dist_factory"] = None
-        state["_dist_cache"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._dist_factory = type(self)(**self._params)._dist_factory
-
     def _fingerprint(self):
         return (
             "cont",

@@ -14,7 +14,7 @@ why floor order never matters (the property behind Theorem 1).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 

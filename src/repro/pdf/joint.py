@@ -25,7 +25,7 @@ All four preserve partial mass and support the core primitives
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import stats
@@ -34,12 +34,11 @@ from ..errors import (
     DimensionMismatchError,
     InvalidDistributionError,
     PdfError,
-    UnsupportedOperationError,
 )
 from .base import DEFAULT_GRID, ArrayLike, GridSpec, MASS_TOLERANCE, Pdf
 from .discrete import DiscretePdf
 from .floors import FlooredPdf
-from .regions import BoxRegion, IntervalSet, Region
+from .regions import BoxRegion, Region
 
 __all__ = [
     "Axis",

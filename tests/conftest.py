@@ -8,7 +8,6 @@ import pytest
 from repro.core import (
     Column,
     DataType,
-    HistoryStore,
     ProbabilisticRelation,
     ProbabilisticSchema,
 )

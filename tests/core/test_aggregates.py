@@ -1,6 +1,5 @@
 """Aggregate tests: COUNT / SUM / EXPECTED / MIN / MAX over uncertain data."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +19,7 @@ from repro.core import (
     sum_distribution,
 )
 from repro.errors import QueryError, UnsupportedOperationError
-from repro.pdf import DiscretePdf, GaussianPdf, IntervalSet, JointDiscretePdf, UniformPdf
+from repro.pdf import DiscretePdf, GaussianPdf, IntervalSet, UniformPdf
 
 
 def _value_relation(pdfs):

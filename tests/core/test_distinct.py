@@ -10,12 +10,9 @@ from repro.core import (
     cross_product,
     enumerate_worlds,
     existence_probability,
-    expected_multiplicities,
     project,
-    select,
 )
 from repro.core.distinct import EXISTS_ATTR, distinct
-from repro.core.predicates import Comparison
 from repro.errors import UnsupportedOperationError
 from repro.pdf import DiscretePdf, JointDiscretePdf
 

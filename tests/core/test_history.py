@@ -25,7 +25,7 @@ from repro.core import (
 from repro.core.history import AncestorLink, AncestorRef, fresh_lineage, rename_lineage
 from repro.core.predicates import Comparison, TruePredicate, col
 from repro.errors import HistoryError
-from repro.pdf import DiscretePdf, GaussianPdf, JointDiscretePdf
+from repro.pdf import DiscretePdf, GaussianPdf
 
 
 class TestHistoryStore:

@@ -16,11 +16,8 @@ from repro.core import (
     multiplicities_match,
     prefix_attrs,
     project,
-    rename,
     select,
     world_join,
-    world_project,
-    world_select,
 )
 from repro.core.predicates import And, Comparison, TruePredicate, col
 from repro.errors import SchemaError

@@ -10,7 +10,7 @@ from repro.core import (
     ProbabilisticSchema,
 )
 from repro.errors import SchemaError
-from repro.pdf import DiscretePdf, GaussianPdf, JointDiscretePdf, JointGaussianPdf
+from repro.pdf import GaussianPdf, JointGaussianPdf
 
 
 class TestSchema:

@@ -129,7 +129,7 @@ class TestNearestNeighbor:
             nearest_neighbor_probabilities(rel, ["oid"], [0.0])
 
     def test_dependent_tuples_rejected(self, figure3_relation):
-        from repro.core import cross_product, prefix_attrs, project
+        from repro.core import cross_product, project
 
         ta = project(figure3_relation, ["a"])
         tb = project(figure3_relation, ["b"])

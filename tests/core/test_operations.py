@@ -1,22 +1,18 @@
 """Tests for the pdf primitives: marginalize, floor, product, support_region."""
 
-import numpy as np
 import pytest
 
 from repro.core import HistoryStore, ModelConfig
-from repro.core.history import AncestorRef, fresh_lineage, rename_lineage
+from repro.core.history import fresh_lineage, rename_lineage
 from repro.core.operations import floor, marginalize, product, support_region
 from repro.errors import HistoryError
 from repro.pdf import (
     BoxRegion,
     DiscretePdf,
-    FlooredPdf,
     GaussianPdf,
     HistogramPdf,
     IntervalSet,
     JointDiscretePdf,
-    JointGridPdf,
-    PredicateRegion,
     ProductPdf,
 )
 

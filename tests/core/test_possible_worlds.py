@@ -6,7 +6,6 @@ pipeline, the model's result multiplicities must equal the brute-force
 possible-worlds multiplicities exactly.
 """
 
-import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 from repro.core import (
     Column,
     DataType,
-    ModelConfig,
     ProbabilisticRelation,
     ProbabilisticSchema,
     cross_product,
@@ -31,7 +29,7 @@ from repro.core import (
 )
 from repro.core.predicates import And, Comparison, Or, TruePredicate, col
 from repro.errors import UnsupportedOperationError
-from repro.pdf import DiscretePdf, GaussianPdf, JointDiscretePdf
+from repro.pdf import DiscretePdf, JointDiscretePdf
 
 
 class TestEnumeration:
@@ -248,7 +246,7 @@ def test_join_is_pws_consistent_shared_store(data, pred):
 @given(rel=joint_relations(max_tuples=2))
 def test_self_cross_after_projections_is_pws_consistent(rel):
     """The Figure 3 pattern over random data: the hardest history case."""
-    from repro.core import join, prefix_attrs
+    from repro.core import join
 
     ta = project(rel, ["a"])
     tb = project(select(rel, Comparison("b", ">", 1)), ["b"])

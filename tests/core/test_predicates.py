@@ -6,7 +6,6 @@ from repro.core.predicates import And, Comparison, Not, Or, TruePredicate, col
 from repro.errors import QueryError
 from repro.pdf.regions import (
     BoxRegion,
-    ComplementRegion,
     IntersectionRegion,
     IntervalSet,
     PredicateRegion,

@@ -5,7 +5,6 @@ import pytest
 from repro.core import (
     Column,
     DataType,
-    ModelConfig,
     ProbabilisticRelation,
     ProbabilisticSchema,
     expected_multiplicities,
@@ -16,10 +15,10 @@ from repro.core import (
     world_project,
     world_select,
 )
-from repro.core.predicates import Comparison, col
+from repro.core.predicates import Comparison
 from repro.core.project import ProjectionPlan
 from repro.errors import QueryError
-from repro.pdf import DiscretePdf, GaussianPdf, JointDiscretePdf
+from repro.pdf import DiscretePdf, JointDiscretePdf
 
 
 @pytest.fixture

@@ -5,7 +5,6 @@ import pytest
 from repro.core import (
     Column,
     DataType,
-    ModelConfig,
     ProbabilisticRelation,
     ProbabilisticSchema,
     closure,
@@ -15,7 +14,7 @@ from repro.core import (
     select,
     world_select,
 )
-from repro.core.predicates import And, Comparison, Or, TruePredicate, col
+from repro.core.predicates import And, Comparison, Or, col
 from repro.errors import QueryError
 from repro.pdf import (
     CategoricalPdf,
@@ -76,7 +75,6 @@ class TestCase2Uncertain:
         joint = out.tuples[0].pdfs[frozenset({"a", "b"})]
         assert isinstance(joint, JointDiscretePdf)
         expected = {(0.0, 1.0): 0.06, (0.0, 2.0): 0.04, (1.0, 2.0): 0.36}
-        got = {k: pytest.approx(v) for k, v in joint.table.items() if v > 0}
         assert {k: v for k, v in joint.table.items() if v > 0} == pytest.approx(expected)
 
     def test_schema_merges_dependency_sets(self, table2_relation):

@@ -71,10 +71,9 @@ class TestSampleWorlds:
 
     def test_derived_relation_rejected(self, rng):
         rel = _relation([DiscretePdf({1: 0.5, 2: 0.5}), DiscretePdf({1: 1.0})])
-        derived = select(rel, Comparison("v", ">", 0))
         # Selection merges lineages only when sets merge; force a derived
         # relation with multi-ancestor lineage via a join-style product.
-        from repro.core import cross_product, prefix_attrs, project
+        from repro.core import cross_product, prefix_attrs
 
         crossed = select(
             cross_product(prefix_attrs(rel, "l"), prefix_attrs(rel, "r")),

@@ -15,7 +15,7 @@ from repro.core import (
 )
 from repro.core.predicates import And, Comparison
 from repro.errors import QueryError
-from repro.pdf import DiscretePdf, GaussianPdf, JointDiscretePdf
+from repro.pdf import DiscretePdf
 
 
 @pytest.fixture

@@ -9,7 +9,6 @@ the looser bound is the acceptance criterion.)
 
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +18,7 @@ from repro.core import (
     ProbabilisticRelation,
     ProbabilisticSchema,
 )
+from repro.core.model import ModelConfig
 from repro.core.operations import PDF_OP_CACHE
 from repro.core.predicates import And, Comparison
 from repro.core.threshold import probability_of
@@ -30,6 +30,7 @@ from repro.engine.executor import (
     RelationScan,
     ThresholdFilter,
 )
+from repro.engine.sql.planner import execute_plan
 from repro.pdf import (
     BoxRegion,
     DiscretePdf,
@@ -183,3 +184,27 @@ def test_threshold_filter_batch_equivalence(rel, p):
     scalar, batches = run_both(make_plan)
     for size, rows in batches.items():
         assert_rows_equal(scalar, rows, rel.store)
+
+
+class _NoBatchesScan(RelationScan):
+    """Scan that fails the test if the batch protocol is entered."""
+
+    def batches(self, size=256):
+        raise AssertionError(
+            "batch_size <= 1 must use the scalar iterator protocol"
+        )
+
+
+def test_batch_size_one_uses_scalar_protocol():
+    """At batch_size<=1, execute_plan must not wrap single tuples in
+    TupleBatch objects (the 0.63x regression of BENCH_engine)."""
+    schema = ProbabilisticSchema(
+        [Column("sid", DataType.INT), Column("v", DataType.REAL)], [{"v"}]
+    )
+    rel = ProbabilisticRelation(schema, name="fixed")
+    for i in range(10):
+        rel.insert(certain={"sid": i}, uncertain={"v": GaussianPdf(i, 2.0, attr="v")})
+    rows = execute_plan(_NoBatchesScan(rel), ModelConfig(batch_size=1))
+    assert [t.tuple_id for t in rows] == [t.tuple_id for t in rel.tuples]
+    # batch_size=0/None degrade to scalar too instead of crashing batched().
+    assert len(execute_plan(_NoBatchesScan(rel), ModelConfig(batch_size=0))) == 10

@@ -1,20 +1,18 @@
-"""Columnar struct-of-arrays execution ≡ batched ≡ scalar ≡ parallel.
+"""Columnar struct-of-arrays execution ≡ the scalar reference iterator.
 
 The columnar path decodes scans into per-family parameter arrays and sweeps
 selection and PROB thresholds with fused ufunc kernels
 (:mod:`repro.core.columnar`, ``SelectionPlan.apply_columnar``).  These tests
 pin the acceptance criterion of the columnar work: for relations spanning
 every symbolic family, histogram pdfs, explicit discrete pdfs, floored
-partials, and NULLs, all four execution modes produce bitwise-identical
-tuples in identical order — same ids, same certain values, same pdfs, same
-masses.  Also covered: the EXPLAIN ANALYZE columnar counters, the
-relation-level segment cache invalidation, and the pickle boundary of
-:class:`ColumnarBatch`.
+partials, and NULLs, the batch protocol at every batch size and the scalar
+``__iter__`` produce bitwise-identical tuples in identical order — same ids,
+same certain values, same pdfs, same masses.  Also covered: the EXPLAIN
+ANALYZE columnar counters and the relation-level segment cache
+invalidation.
 """
 
 from __future__ import annotations
-
-import pickle
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,9 +25,9 @@ from repro.core import (
 )
 from repro.core.expr import ColExpr
 from repro.core.history import HistoryStore
-from repro.core.model import ModelConfig
 from repro.core.operations import PDF_OP_CACHE
 from repro.core.predicates import And, Comparison, col
+from repro.core.select import SelectionPlan
 from repro.engine.catalog import Catalog
 from repro.engine.executor import (
     AggSpec,
@@ -43,9 +41,8 @@ from repro.engine.executor import (
     SeqScan,
     ThresholdFilter,
 )
-from repro.engine.executor.batch import TupleBatch
+from repro.engine.executor import aggregate, relational
 from repro.engine.executor.columnar import ColumnarBatch
-from repro.engine.sql.planner import execute_plan
 from repro.pdf import (
     BernoulliPdf,
     BetaPdf,
@@ -146,27 +143,14 @@ def _assert_bitwise_equal(expected, actual):
             assert pa.mass() == pb.mass()  # bitwise, no tolerance
 
 
-def _four_ways(make_plan, parallel_columnar=True):
-    """Rows from scalar, legacy-batched, columnar, and parallel execution."""
+def _scalar_vs_columnar(make_plan):
+    """Rows from the scalar iterator and, per batch size, the columnar batches."""
     PDF_OP_CACHE.reset()
-    scalar = list(make_plan(False))
+    scalar = list(make_plan())
     modes = {}
     for size in BATCH_SIZES:
         PDF_OP_CACHE.reset()
-        modes[("batched", size)] = [
-            t for b in make_plan(False).batches(size) for t in b.tuples
-        ]
-        PDF_OP_CACHE.reset()
-        modes[("columnar", size)] = [
-            t for b in make_plan(True).batches(size) for t in b.tuples
-        ]
-    PDF_OP_CACHE.reset()
-    modes[("parallel", 16)] = execute_plan(
-        make_plan(parallel_columnar),
-        ModelConfig(
-            workers=2, morsel_size=9, batch_size=16, columnar=parallel_columnar
-        ),
-    )
+        modes[size] = [t for b in make_plan().batches(size) for t in b.tuples]
     return scalar, modes
 
 
@@ -176,11 +160,10 @@ PRED = And([Comparison("v", ">", 2.0), Comparison("v", "<", 7.5)])
 def test_filter_columnar_equivalence_all_families():
     rel = _all_families_relation()
 
-    def make_plan(columnar):
-        cfg = ModelConfig(columnar=columnar)
-        return Filter(RelationScan(rel, columnar=columnar), PRED, rel.store, cfg)
+    def make_plan():
+        return Filter(RelationScan(rel), PRED, rel.store)
 
-    scalar, modes = _four_ways(make_plan)
+    scalar, modes = _scalar_vs_columnar(make_plan)
     assert len(scalar) > 0
     for rows in modes.values():
         _assert_bitwise_equal(scalar, rows)
@@ -189,13 +172,10 @@ def test_filter_columnar_equivalence_all_families():
 def test_threshold_filter_columnar_equivalence_all_families():
     rel = _all_families_relation()
 
-    def make_plan(columnar):
-        cfg = ModelConfig(columnar=columnar)
-        return ThresholdFilter(
-            RelationScan(rel, columnar=columnar), ["v"], ">", 0.3, rel.store, cfg
-        )
+    def make_plan():
+        return ThresholdFilter(RelationScan(rel), ["v"], ">", 0.3, rel.store)
 
-    scalar, modes = _four_ways(make_plan)
+    scalar, modes = _scalar_vs_columnar(make_plan)
     for rows in modes.values():
         _assert_bitwise_equal(scalar, rows)
 
@@ -203,18 +183,12 @@ def test_threshold_filter_columnar_equivalence_all_families():
 def test_prob_filter_columnar_equivalence_all_families():
     rel = _all_families_relation()
 
-    def make_plan(columnar):
-        cfg = ModelConfig(columnar=columnar)
+    def make_plan():
         return ProbFilter(
-            RelationScan(rel, columnar=columnar),
-            Comparison("v", ">", 3.0),
-            ">",
-            0.25,
-            rel.store,
-            cfg,
+            RelationScan(rel), Comparison("v", ">", 3.0), ">", 0.25, rel.store
         )
 
-    scalar, modes = _four_ways(make_plan)
+    scalar, modes = _scalar_vs_columnar(make_plan)
     for rows in modes.values():
         _assert_bitwise_equal(scalar, rows)
 
@@ -232,41 +206,30 @@ def test_filter_columnar_equivalence_property(kinds, lo, width, size):
         rel.insert(certain={"sid": i}, uncertain={"v": _pdf_for(kind)})
     pred = And([Comparison("v", ">", lo), Comparison("v", "<", lo + width)])
 
-    def make_plan(columnar):
-        cfg = ModelConfig(columnar=columnar)
-        return Filter(RelationScan(rel, columnar=columnar), pred, rel.store, cfg)
+    def make_plan():
+        return Filter(RelationScan(rel), pred, rel.store)
 
     PDF_OP_CACHE.reset()
-    scalar = list(make_plan(False))
+    scalar = list(make_plan())
     PDF_OP_CACHE.reset()
-    columnar_rows = [t for b in make_plan(True).batches(size) for t in b.tuples]
+    columnar_rows = [t for b in make_plan().batches(size) for t in b.tuples]
     _assert_bitwise_equal(scalar, columnar_rows)
 
 
 def test_explain_analyze_reports_columnar_stats():
     rel = _all_families_relation()
-    cfg = ModelConfig(columnar=True)
-    plan = Filter(RelationScan(rel, columnar=True), PRED, rel.store, cfg)
+    plan = Filter(RelationScan(rel), PRED, rel.store)
     for _ in plan.batches(16):
         pass
     text = plan.explain()
-    assert "columnar_batches=" in text
     assert "columnar_rows=" in text
     assert "kernels=" in text
     assert "GaussianPdf" in text
 
 
-def test_columnar_switch_off_yields_plain_batches():
-    rel = _all_families_relation(16)
-    for batch in RelationScan(rel, columnar=False).batches(8):
-        assert type(batch) is TupleBatch
-    for batch in RelationScan(rel, columnar=True).batches(8):
-        assert type(batch) is ColumnarBatch
-
-
 def test_project_identity_preserves_columnar_batches():
     rel = _all_families_relation(16)
-    plan = Project(RelationScan(rel, columnar=True), ["sid", "v"])
+    plan = Project(RelationScan(rel), ["sid", "v"])
     batches = list(plan.batches(8))
     assert all(type(b) is ColumnarBatch for b in batches)
     assert [t.tuple_id for b in batches for t in b.tuples] == [
@@ -283,25 +246,15 @@ def test_segment_cache_invalidated_on_mutation():
     assert seg2 is not seg
     assert seg2.n == len(rel.tuples)
     # Scans after the mutation see the new row.
-    rows = [t for b in RelationScan(rel, columnar=True).batches(4) for t in b.tuples]
+    rows = [t for b in RelationScan(rel).batches(4) for t in b.tuples]
     assert rows[-1].certain["sid"] == 99
-
-
-def test_columnar_batch_pickles_to_plain_batch():
-    rel = _all_families_relation(32)
-    (batch,) = list(RelationScan(rel, columnar=True).batches(64))
-    assert type(batch) is ColumnarBatch
-    assert batch.attr_column(frozenset({"v"})) is not None
-    clone = pickle.loads(pickle.dumps(batch))
-    assert type(clone) is TupleBatch
-    _assert_bitwise_equal(batch.tuples, clone.tuples)
 
 
 def test_stale_segment_falls_back_to_none():
     """A batch whose cached segment no longer matches returns None from
     attr_column, forcing callers onto the reference path."""
     rel = _all_families_relation(8)
-    (batch,) = list(RelationScan(rel, columnar=True).batches(16))
+    (batch,) = list(RelationScan(rel).batches(16))
     seg = batch.segment
     assert seg is not None
     # Shrink the snapshot under the batch: offset+len now exceeds seg.n.
@@ -356,7 +309,7 @@ def _join_relations(n=48, keys=None, null_pdfs=True):
 
 
 def _modes_with_id_reset(store, make_plan):
-    """Scalar/batched/columnar rows with the id counter pinned per run.
+    """Scalar/columnar rows with the id counter pinned per run.
 
     Joins and aggregates mint fresh tuple ids; resetting the store's
     counter to the same snapshot before every run makes the id streams —
@@ -364,51 +317,30 @@ def _modes_with_id_reset(store, make_plan):
     """
     id0 = store._next_tuple_id
 
-    def fresh(columnar):
+    def fresh():
         store._next_tuple_id = id0
         PDF_OP_CACHE.reset()
-        return make_plan(columnar)
+        return make_plan()
 
-    scalar = list(fresh(False))
+    scalar = list(fresh())
     modes = {}
     for size in BATCH_SIZES:
-        modes[("batched", size)] = [
-            t for b in fresh(False).batches(size) for t in b.tuples
-        ]
-        modes[("columnar", size)] = [
-            t for b in fresh(True).batches(size) for t in b.tuples
-        ]
+        modes[size] = [t for b in fresh().batches(size) for t in b.tuples]
     store._next_tuple_id = id0
     return scalar, modes
 
 
-def _no_id_key(rows):
-    """Row fingerprints without tuple ids (parallel runs renumber)."""
-    return [
-        (
-            tuple(sorted(t.certain.items())),
-            tuple(
-                (tuple(sorted(dep)), repr(pdf))
-                for dep, pdf in sorted(t.pdfs.items(), key=lambda kv: sorted(kv[0]))
-            ),
-        )
-        for t in rows
-    ]
-
-
 def _make_join(store, readings, sites, predicate=None):
-    def make(columnar):
-        cfg = ModelConfig(columnar=columnar)
+    def make():
         return HashJoin(
-            RelationScan(readings, columnar=columnar),
-            RelationScan(sites, columnar=columnar),
+            RelationScan(readings),
+            RelationScan(sites),
             "site",
             "site_id",
             predicate
             if predicate is not None
             else Comparison("site", "=", col("site_id")),
             store,
-            cfg,
         )
 
     return make
@@ -424,20 +356,6 @@ def test_hash_join_columnar_equivalence_null_keys():
     )
     for rows in modes.values():
         _assert_bitwise_equal(scalar, rows)
-
-
-def test_hash_join_parallel_matches_modulo_ids():
-    store, readings, sites = _join_relations()
-    make_plan = _make_join(store, readings, sites)
-    id0 = store._next_tuple_id
-    scalar = list(make_plan(False))
-    store._next_tuple_id = id0
-    rows = execute_plan(
-        make_plan(True),
-        ModelConfig(workers=2, morsel_size=9, batch_size=16, columnar=True),
-    )
-    # Parallel morsels renumber output ids; contents and order still match.
-    assert _no_id_key(scalar) == _no_id_key(rows)
 
 
 def test_hash_join_uncertain_residual_predicate():
@@ -475,16 +393,14 @@ def test_hash_join_string_keys_fall_back():
     for s in range(3):
         right.insert(certain={"tag_id": f"t{s}", "label": f"L{s}"})
 
-    def make_plan(columnar):
-        cfg = ModelConfig(columnar=columnar)
+    def make_plan():
         return HashJoin(
-            RelationScan(left, columnar=columnar),
-            RelationScan(right, columnar=columnar),
+            RelationScan(left),
+            RelationScan(right),
             "tag",
             "tag_id",
             Comparison("tag", "=", col("tag_id")),
             store,
-            cfg,
         )
 
     scalar, modes = _modes_with_id_reset(store, make_plan)
@@ -492,7 +408,7 @@ def test_hash_join_string_keys_fall_back():
     for rows in modes.values():
         _assert_bitwise_equal(scalar, rows)
     store._next_tuple_id += 1000
-    plan = make_plan(True)
+    plan = make_plan()
     list(plan.batches(8))
     assert plan.join_probe_kernels == 0  # fell back, never vectorized
 
@@ -539,13 +455,13 @@ def test_hash_join_empty_inputs():
         name="sites",
     )
     make_plan = _make_join(store, readings, sites)
-    assert list(make_plan(False)) == []
-    assert [t for b in make_plan(True).batches(4) for t in b.tuples] == []
+    assert list(make_plan()) == []
+    assert [t for b in make_plan().batches(4) for t in b.tuples] == []
 
 
 def test_hash_join_explain_probe_kernels():
     store, readings, sites = _join_relations()
-    plan = _make_join(store, readings, sites)(True)
+    plan = _make_join(store, readings, sites)()
     list(plan.batches(16))
     assert plan.join_probe_kernels > 0
     assert f"join_probe_kernels={plan.join_probe_kernels}" in plan.explain()
@@ -554,14 +470,12 @@ def test_hash_join_explain_probe_kernels():
 def _make_groupby(store, readings, sites):
     join = _make_join(store, readings, sites)
 
-    def make(columnar):
-        cfg = ModelConfig(columnar=columnar)
+    def make():
         return GroupAggregate(
-            join(columnar),
+            join(),
             ["region"],
             [AggSpec("count"), AggSpec("expected", "v")],
             store,
-            cfg,
         )
 
     return make
@@ -587,14 +501,12 @@ def test_group_aggregate_null_group_keys():
             uncertain={"v": _pdf_for(i % 15)},  # no NULL pdfs: EXPECTED rejects them
         )
 
-    def make_plan(columnar):
-        cfg = ModelConfig(columnar=columnar)
+    def make_plan():
         return GroupAggregate(
-            RelationScan(rel, columnar=columnar),
+            RelationScan(rel),
             ["sid"],
             [AggSpec("count"), AggSpec("expected", "v")],
             store,
-            cfg,
         )
 
     scalar, modes = _modes_with_id_reset(store, make_plan)
@@ -603,9 +515,54 @@ def test_group_aggregate_null_group_keys():
         _assert_bitwise_equal(scalar, rows)
 
 
+def test_group_aggregate_scalar_iter_is_reference(monkeypatch):
+    """iter(GroupAggregate) runs the reference grouping, never the kernel."""
+    store, readings, sites = _join_relations(null_pdfs=False)
+    make_plan = _make_groupby(store, readings, sites)
+    id0 = store._next_tuple_id
+    expected = [t for b in make_plan().batches(16) for t in b.tuples]
+
+    def boom(self, tuples):
+        raise AssertionError("scalar __iter__ reached _execute_columnar")
+
+    monkeypatch.setattr(GroupAggregate, "_execute_columnar", boom)
+    store._next_tuple_id = id0
+    PDF_OP_CACHE.reset()
+    _assert_bitwise_equal(expected, list(make_plan()))
+
+
+def test_scalar_iterators_never_reach_a_kernel(monkeypatch):
+    """Every operator's scalar ``__iter__`` is the oracle: with every
+    columnar kernel entry point rigged to fail, it still runs."""
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a scalar __iter__ reached a columnar kernel")
+
+    for owner, attr in (
+        (SelectionPlan, "apply_columnar"),
+        (SelectionPlan, "probabilities_columnar"),
+        (GroupAggregate, "_execute_columnar"),
+        (Compute, "_apply_batch"),
+        (relational, "columnar_probability_of"),
+        (relational, "build_probe_index"),
+        (aggregate, "columnar_probability_of"),
+    ):
+        monkeypatch.setattr(owner, attr, boom)
+    store, readings, sites = _join_relations(null_pdfs=False)
+    plans = [
+        Filter(RelationScan(readings), PRED, store),
+        ProbFilter(RelationScan(readings), Comparison("v", ">", 3.0), ">", 0.25, store),
+        ThresholdFilter(RelationScan(readings), ["v"], ">", 0.3, store),
+        _make_groupby(store, readings, sites)(),
+        _make_compute(store, readings)(),
+    ]
+    for plan in plans:
+        assert list(plan)
+
+
 def test_group_aggregate_explain_groups():
     store, readings, sites = _join_relations(null_pdfs=False)
-    plan = _make_groupby(store, readings, sites)(True)
+    plan = _make_groupby(store, readings, sites)()
     list(plan.batches(16))
     assert plan.groupby_groups > 0
     assert f"groupby_groups={plan.groupby_groups}" in plan.explain()
@@ -619,9 +576,8 @@ def _make_compute(store, readings):
         (ColExpr("rid") * 2.0 + 1.0, "shifted"),
     ]
 
-    def make(columnar):
-        cfg = ModelConfig(columnar=columnar)
-        return Compute(RelationScan(readings, columnar=columnar), items, store, cfg)
+    def make():
+        return Compute(RelationScan(readings), items, store)
 
     return make
 
@@ -640,7 +596,7 @@ def test_compute_columnar_equivalence_nulls_div_zero():
 
 def test_compute_explain_kernels():
     store, readings, _ = _join_relations()
-    plan = _make_compute(store, readings)(True)
+    plan = _make_compute(store, readings)()
     list(plan.batches(16))
     assert plan.compute_kernels > 0
     assert f"compute_kernels={plan.compute_kernels}" in plan.explain()
@@ -667,10 +623,10 @@ def test_join_groupby_columnar_equivalence_property(data, size):
     make_plan = _make_groupby(store, readings, sites)
     id0 = store._next_tuple_id
     PDF_OP_CACHE.reset()
-    scalar = list(make_plan(False))
+    scalar = list(make_plan())
     store._next_tuple_id = id0
     PDF_OP_CACHE.reset()
-    columnar_rows = [t for b in make_plan(True).batches(size) for t in b.tuples]
+    columnar_rows = [t for b in make_plan().batches(size) for t in b.tuples]
     _assert_bitwise_equal(scalar, columnar_rows)
 
 
@@ -689,24 +645,15 @@ def _seq_table():
 
 def test_seqscan_direct_decode_counter():
     t = _seq_table()
-    scan = SeqScan(t, columnar=True)
+    scan = SeqScan(t)
     rows = [tp for b in scan.batches(8) for tp in b.tuples]
     assert len(rows) == 32
     assert scan.direct_decode_rows > 0
     assert f"direct_decode_rows={scan.direct_decode_rows}" in scan.explain()
 
 
-def test_seqscan_direct_decode_off_when_not_columnar():
-    t = _seq_table()
-    scan = SeqScan(t, columnar=False)
-    rows = [tp for b in scan.batches(8) for tp in b.tuples]
-    assert len(rows) == 32
-    assert scan.direct_decode_rows == 0
-    assert "direct_decode_rows=" not in scan.explain()
-
-
 def test_seqscan_direct_decode_matches_reference():
     t = _seq_table()
-    reference = [tp for b in SeqScan(t, columnar=False).batches(8) for tp in b.tuples]
-    direct = [tp for b in SeqScan(t, columnar=True).batches(8) for tp in b.tuples]
+    reference = list(SeqScan(t))
+    direct = [tp for b in SeqScan(t).batches(8) for tp in b.tuples]
     _assert_bitwise_equal(reference, direct)

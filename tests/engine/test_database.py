@@ -3,9 +3,8 @@
 import pytest
 
 from repro import Database
-from repro.core.model import ModelConfig
 from repro.errors import CatalogError, QueryError, SqlBindError
-from repro.pdf import DiscretePdf, FlooredPdf, GaussianPdf
+from repro.pdf import DiscretePdf, FlooredPdf
 
 
 @pytest.fixture

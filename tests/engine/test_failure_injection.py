@@ -15,7 +15,7 @@ from repro.engine.storage.disk import MemoryDisk
 from repro.engine.storage.heapfile import HeapFile
 from repro.engine.storage.serialize import decode_pdf, decode_tuple, encode_pdf
 from repro.errors import ReproError, SerializationError, StorageError
-from repro.pdf import DiscretePdf, GaussianPdf
+from repro.pdf import GaussianPdf
 
 
 class TestCorruptedPdfBytes:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.engine.index.btree import BPlusTree
 from repro.engine.index.pti import (
-    DEFAULT_LADDER,
     ProbabilityThresholdIndex,
     quantile_of,
 )
@@ -15,7 +14,6 @@ from repro.engine.storage.heapfile import RID
 from repro.errors import IndexError_
 from repro.pdf import (
     BoxRegion,
-    DiscretePdf,
     GaussianPdf,
     HistogramPdf,
     IntervalSet,

@@ -21,7 +21,6 @@ from repro.pdf import (
     BernoulliPdf,
     BetaPdf,
     BinomialPdf,
-    BoxRegion,
     CategoricalPdf,
     DiscretePdf,
     ExponentialPdf,

@@ -2,7 +2,6 @@
 
 import io
 
-import pytest
 
 from repro.engine.shell import Shell
 

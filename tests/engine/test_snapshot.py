@@ -1,6 +1,5 @@
 """Snapshot save/open tests: catalog, pages, histories, indexes, labels."""
 
-import os
 
 import pytest
 

@@ -200,6 +200,18 @@ def test_spill_stats_report_runs_and_partitions():
     assert snap["sort_spills"] >= 1 and snap["bytes_written"] > 0
 
 
+@pytest.mark.parametrize("work_mem", [-1, -4096])
+def test_negative_work_mem_rejected(work_mem):
+    """A negative budget used to spill every row as its own sort run."""
+    with pytest.raises(ValueError, match="work_mem"):
+        ModelConfig(work_mem=work_mem)
+
+
+def test_zero_and_unset_work_mem_mean_unlimited():
+    assert ModelConfig(work_mem=0).work_mem == 0
+    assert ModelConfig().work_mem is None
+
+
 def test_external_sorter_lineage_roundtrip(tmp_path):
     """Frames preserve lineage refs bitwise through the disk round-trip."""
     schema = ProbabilisticSchema(

@@ -3,8 +3,7 @@
 import pytest
 
 from repro import Database
-from repro.errors import CatalogError, QueryError, SqlBindError, SqlParseError
-from repro.pdf import DiscretePdf, GaussianPdf
+from repro.errors import CatalogError, QueryError, SqlBindError
 
 
 @pytest.fixture

@@ -169,7 +169,7 @@ class TestBufferPool:
         # Creating the 3rd page evicts the 1st (dirty -> flushed).
         assert pool.stats.evictions >= 1
         assert pool.disk.counters.writes >= 1
-        page = pool.get_page(pids[0])  # physical read back
+        pool.get_page(pids[0])  # physical read back
         assert pool.disk.counters.reads >= 1
 
     def test_eviction_order_is_lru(self):
@@ -177,7 +177,7 @@ class TestBufferPool:
         a = pool.new_page()
         b = pool.new_page()
         pool.get_page(a)  # touch a: b is now LRU
-        c = pool.new_page()  # evicts b
+        pool.new_page()  # evicts b
         pool.disk.counters.reset()
         pool.get_page(a)
         assert pool.disk.counters.reads == 0  # still cached
@@ -241,7 +241,7 @@ class TestHeapFile:
     def test_delete(self):
         heap = self._heap()
         rid1 = heap.insert(b"a")
-        rid2 = heap.insert(b"b")
+        heap.insert(b"b")
         heap.delete(rid1)
         assert len(heap) == 1
         assert [rec for _, rec in heap.scan()] == [b"b"]

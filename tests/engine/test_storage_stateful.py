@@ -6,7 +6,6 @@ multimap), under a tiny buffer pool so evictions happen constantly.
 """
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.engine.index.btree import BPlusTree

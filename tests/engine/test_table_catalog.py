@@ -4,9 +4,9 @@ import pytest
 
 from repro.core import Column, DataType, ProbabilisticSchema
 from repro.engine.catalog import Catalog
-from repro.engine.storage.disk import FileDisk, MemoryDisk
+from repro.engine.storage.disk import FileDisk
 from repro.errors import CatalogError, QueryError
-from repro.pdf import DiscretePdf, GaussianPdf, JointGaussianPdf
+from repro.pdf import GaussianPdf, JointGaussianPdf
 
 
 def _readings_schema():

@@ -17,7 +17,7 @@ from repro.core import (
 )
 from repro.core.predicates import And, Comparison, col
 from repro.engine.executor import Filter, SeqScan
-from repro.pdf import DiscretePdf, GaussianPdf
+from repro.pdf import DiscretePdf
 from repro.workloads import generate_range_queries, generate_readings, load_readings_relation
 
 

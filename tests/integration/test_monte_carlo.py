@@ -11,7 +11,6 @@ import pytest
 from repro.core import (
     Column,
     DataType,
-    ModelConfig,
     ProbabilisticRelation,
     ProbabilisticSchema,
     existence_probability,

@@ -1,6 +1,5 @@
 """Arithmetic tests: affine transforms, convolutions, aggregate sums."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

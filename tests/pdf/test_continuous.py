@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import DimensionMismatchError, InvalidDistributionError, PdfError
+from repro.errors import DimensionMismatchError, InvalidDistributionError
 from repro.pdf import (
     BoxRegion,
     ExponentialPdf,

@@ -9,7 +9,6 @@ from repro.errors import PdfError, UnsupportedOperationError
 from repro.pdf import (
     DiscretePdf,
     GaussianPdf,
-    HistogramPdf,
     IntervalSet,
     UniformPdf,
     discretize,
@@ -92,7 +91,7 @@ class TestEquidepth:
         assert h.mass() == pytest.approx(1.0, abs=1e-9)
 
     def test_partial_pdf(self):
-        from repro.pdf import BoxRegion, FlooredPdf
+        from repro.pdf import BoxRegion
 
         partial = GaussianPdf(0, 1).restrict(
             BoxRegion({"x": IntervalSet.less_than(0)})

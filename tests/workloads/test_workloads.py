@@ -5,7 +5,6 @@ import pytest
 
 from repro.pdf import CategoricalPdf, GaussianPdf, HistogramPdf, DiscretePdf
 from repro.workloads import (
-    annotations_schema,
     generate_annotations,
     generate_moving_objects,
     generate_range_queries,
