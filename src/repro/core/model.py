@@ -76,31 +76,14 @@ class ModelConfig:
         Resolution used whenever a symbolic pdf must collapse to grid form.
     ``mass_epsilon``
         Tuples whose joint mass falls below this are dropped from results.
-        The default matches the grid ``tail_mass``, so answers agree across
-        access paths (sequential scans vs. threshold-index scans) up to the
-        probability mass the index's support hull already clips.
-    ``eager_merge``
-        When True, join results eagerly collapse historically dependent
-        dependency sets into explicit joints (the eager strategy discussed
-        at the end of Section III-D); the default is lazy.
-    ``batch_size``
-        Tuples per batch in the vectorized executor pipeline.  ``1``
-        disables batching (tuple-at-a-time Volcano iteration, the reference
-        semantics); larger sizes amortize page pins and let same-family
-        pdfs share one columnar kernel sweep.
-    ``scan_pruning``
-        When True (the default), sequential scans consult per-page
-        synopses (min/max of certain values, union of pdf support bounds,
-        page-max mass) and skip pages that provably hold zero qualifying
-        mass for the query's range and ``PROB`` threshold conjuncts.
-        Pruning is sound — pruned tuples would be dropped by the plan's
-        own filters.
-    ``lazy_decode``
-        When True (the default), pruned sequential scans decode each
-        record's cheap fixed prefix (certain values + per-dependency-set
-        mass/support summary) first and deserialize the pdf payload only
-        for tuples that survive the certain-attribute predicate and the
-        per-tuple support/mass tests.
+        It also decides which access paths the planner may use.  A pdf's
+        ``support()`` hull clips ``DEFAULT_GRID.tail_mass`` per tail, so a
+        pdf whose hull misses a query range can still hold that much mass
+        inside it.  Only when ``mass_epsilon >= DEFAULT_GRID.tail_mass``
+        (the default) does the selection drop such a tuple anyway, and only
+        then does the planner prune by support hulls (page synopses, record
+        prefixes, the probability-threshold index).  Below it every scan
+        keeps those tuples, so answers never depend on the access path.
     ``work_mem``
         Per-operator working-memory budget in bytes for the blocking
         operators (hash join build side, ORDER BY, ORDER BY PROB(*),
@@ -124,10 +107,6 @@ class ModelConfig:
     use_history: bool = True
     grid: GridSpec = DEFAULT_GRID
     mass_epsilon: float = 1e-6
-    eager_merge: bool = False
-    batch_size: int = 256
-    scan_pruning: bool = True
-    lazy_decode: bool = True
     work_mem: Optional[int] = None
     spill_dir: Optional[str] = None
 

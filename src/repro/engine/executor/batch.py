@@ -19,7 +19,7 @@ from ...core.model import ProbabilisticTuple
 
 __all__ = ["DEFAULT_BATCH_SIZE", "TupleBatch", "batched", "flatten"]
 
-#: Default number of tuples per batch; overridden by ``ModelConfig.batch_size``.
+#: Tuples per batch when ``execute_plan`` drains a plan.
 DEFAULT_BATCH_SIZE = 256
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -240,6 +240,29 @@ def _select_batches(
             yield TupleBatch(kept)
 
 
+def _dict_probe(
+    rows: Iterable[ProbabilisticTuple], key: str, probe_key: str
+) -> Callable[[ProbabilisticTuple], Sequence[ProbabilisticTuple]]:
+    """Bucket build ``rows`` by their ``key`` value; return the probe.
+
+    The probe maps a tuple to the rows whose ``key`` equals its
+    ``probe_key`` value, in build order; NULL keys match nothing.  These
+    are the Python dict semantics the vectorized hash-join probe must
+    reproduce.
+    """
+    buckets: Dict[object, List[ProbabilisticTuple]] = {}
+    for t in rows:
+        value = t.certain.get(key)
+        if value is not None:
+            buckets.setdefault(value, []).append(t)
+
+    def matches(t: ProbabilisticTuple) -> Sequence[ProbabilisticTuple]:
+        value = t.certain.get(probe_key)
+        return () if value is None else buckets.get(value, ())
+
+    return matches
+
+
 class NestedLoopJoin(Operator):
     """⋈ via nested loops: the right input is materialised once."""
 
@@ -303,10 +326,11 @@ class HashJoin(Operator):
     lookup per row.  The stable sort keeps equal keys in right-scan
     insertion order, and matched-pair ids come from one contiguous block
     allocation, so the emitted pair stream — ids, order, contents — is
-    bitwise identical to the reference bucket path.  Keys the float vector
-    cannot represent faithfully (strings, nan, magnitudes >= 2**53) fall
-    back to the reference dict per side; a fallback is a performance
-    event, never a semantic one.
+    bitwise identical to the scalar ``__iter__`` oracle.  Keys the float
+    vector cannot represent faithfully (strings, nan, magnitudes >= 2**53)
+    fall back to the :func:`_dict_probe` buckets per side; a fallback is a
+    performance event, never a semantic one.  The Grace spill path joins
+    each partition through the same dict probe.
     """
 
     def __init__(
@@ -385,21 +409,6 @@ class HashJoin(Operator):
                 if result is not None:
                     yield result
 
-    def _reference_pairs(self, inner, probe_key, size) -> Iterator[ProbabilisticTuple]:
-        """Dict-bucket pair stream over an already-renamed right side."""
-        buckets: Dict[object, List[ProbabilisticTuple]] = {}
-        for tr in inner:
-            key = tr.certain.get(probe_key)
-            if key is not None:
-                buckets.setdefault(key, []).append(tr)
-        for batch in self.left.batches(size):
-            for tl in batch.tuples:
-                key = tl.certain.get(self.left_key)
-                if key is None:
-                    continue
-                for tr in buckets.get(key, ()):
-                    yield _merge_pair(tl, tr, self.store.new_tuple_id())
-
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         work_mem = self.config.work_mem or 0
         if work_mem:
@@ -419,43 +428,28 @@ class HashJoin(Operator):
         gathered = gather_key_vector(inner, probe_key)
         if gathered is not None and keys_kernelizable(*gathered):
             index = build_probe_index(*gathered)
-        if index is None:
-            yield from _select_batches(
-                self.plan,
-                self.store,
-                self._reference_pairs(inner, probe_key, size),
-                size,
-            )
-            return
-
-        order, sorted_keys = index
-        buckets: Optional[Dict[object, List[ProbabilisticTuple]]] = None
+        matches = None
 
         def pairs_of(batch) -> Iterator[ProbabilisticTuple]:
-            nonlocal buckets
+            nonlocal matches
             lkeys = None
-            if type(batch) is ColumnarBatch:
-                col = batch.certain_column(self.left_key)
-                if col is not None and len(col[0]) == len(batch.tuples):
-                    lkeys = col
-            if lkeys is None:
-                lkeys = gather_key_vector(batch.tuples, self.left_key)
+            if index is not None:
+                if type(batch) is ColumnarBatch:
+                    col = batch.certain_column(self.left_key)
+                    if col is not None and len(col[0]) == len(batch.tuples):
+                        lkeys = col
+                if lkeys is None:
+                    lkeys = gather_key_vector(batch.tuples, self.left_key)
             if lkeys is None or not keys_kernelizable(*lkeys):
-                # This batch's keys need Python semantics: dict path, built
+                # These keys need Python semantics: the dict path, built
                 # once from the same renamed right side in insertion order.
-                if buckets is None:
-                    buckets = {}
-                    for tr in inner:
-                        key = tr.certain.get(probe_key)
-                        if key is not None:
-                            buckets.setdefault(key, []).append(tr)
+                if matches is None:
+                    matches = _dict_probe(inner, probe_key, self.left_key)
                 for tl in batch.tuples:
-                    key = tl.certain.get(self.left_key)
-                    if key is None:
-                        continue
-                    for tr in buckets.get(key, ()):
+                    for tr in matches(tl):
                         yield _merge_pair(tl, tr, self.store.new_tuple_id())
                 return
+            order, sorted_keys = index
             lvals, lmask = lkeys
             live = np.flatnonzero(~lmask) if lmask.any() else None
             probe = lvals if live is None else lvals[live]
@@ -476,7 +470,10 @@ class HashJoin(Operator):
             for batch in self.left.batches(size):
                 yield from pairs_of(batch)
 
-        if self._trivial_match_predicate():
+        # With float-representable right keys (so no nan), every match has
+        # keys equal under Python ``==``; a dict alone would also match one
+        # nan object with itself, so only then may ``apply`` be skipped.
+        if index is not None and self._trivial_match_predicate():
             yield from batched(merged_stream(), size)
         else:
             yield from _select_batches(self.plan, self.store, merged_stream(), size)
@@ -600,13 +597,11 @@ class HashJoin(Operator):
 
         if not loaded:
             return
-        buckets: Dict[object, List[ProbabilisticTuple]] = {}
-        for t in loaded:
-            buckets.setdefault(t.certain.get(probe_key), []).append(t)
+        matches = _dict_probe(loaded, probe_key, self.left_key)
         self.spill_partitions += 1
         pf = mgr.create_file(f"pairs{level}")
         for lseq, tl, _ in lfile.read():
-            for tr in buckets.get(tl.certain.get(self.left_key), ()):
+            for tr in matches(tl):
                 pf.append(lseq, _merge_pair(tl, tr, 0))
         pf.finish()
         if pf.frames:

@@ -85,11 +85,13 @@ class RelationScan(Operator):
 class SeqScan(Operator):
     """Sequential scan of a table, in page order.
 
-    An optional :class:`ScanPruner` turns the full scan into a *pruned*
-    scan: pages whose synopsis proves zero qualifying mass are skipped
-    entirely, and with lazy decoding the pdf payloads of rejected tuples
-    are never deserialized.  The pruner only drops tuples the plan's own
-    filters would drop, so the query answer is unchanged.
+    An optional :class:`ScanPruner` turns the batch protocol into a
+    *pruned* scan: pages whose synopsis proves zero qualifying mass are
+    skipped entirely, and the pdf payloads of tuples the record-prefix
+    tests reject are never deserialized.  The pruner only drops tuples the
+    plan's own filters would drop, so the query answer is unchanged.  The
+    scalar iterator ignores the pruner and reads every live row, which
+    makes it the oracle the pruned batches are checked against.
 
     The batch protocol decodes pages directly into segment arrays: each
     page chunk becomes a :class:`ColumnarBatch` whose tuple-id and certain
@@ -113,30 +115,14 @@ class SeqScan(Operator):
         self.page_stats = (len(pages), self.table.heap.num_pages)
         return pages
 
-    def _pruned(self) -> bool:
-        return self.pruner is not None and (
-            self.pruner.prune_pages or self.pruner.lazy
-        )
-
     def __iter__(self) -> Iterator[ProbabilisticTuple]:
-        def run():
-            if not self._pruned():
-                for _rid, t in self.table.scan():
-                    yield t
-                return
-            for chunk in self.table.scan_batches(
-                DEFAULT_BATCH_SIZE, page_ids=self.candidate_page_ids(), pruner=self.pruner
-            ):
-                yield from chunk
-
-        return self._count_tuples(run())
+        return self._count_tuples(t for _rid, t in self.table.scan())
 
     def batches(self, size: int = DEFAULT_BATCH_SIZE) -> Iterator[TupleBatch]:
         def run():
-            page_ids = self.candidate_page_ids() if self._pruned() else None
-            pruner = self.pruner if self._pruned() else None
+            page_ids = self.candidate_page_ids() if self.pruner is not None else None
             for chunk, seg in self.table.scan_segments(
-                size, page_ids=page_ids, pruner=pruner
+                size, page_ids=page_ids, pruner=self.pruner
             ):
                 self.direct_decode_rows += len(chunk)
                 yield ColumnarBatch(chunk, seg, 0)
@@ -148,14 +134,14 @@ class SeqScan(Operator):
 
     def explain_extras(self) -> List[str]:
         extras = []
-        if self.pruner is not None and self.pruner.prune_pages:
+        if self.pruner is not None:
             if self.page_stats is not None:
                 visited, total = self.page_stats
                 extras.append(f"pages={visited}/{total}")
             else:
                 extras.append("pruned")
-        if self.pruner is not None and self.pruner.lazy:
-            extras.append("lazy")
+            if self.pruner.lazy:
+                extras.append("lazy")
         if self.direct_decode_rows:
             extras.append(f"direct_decode_rows={self.direct_decode_rows}")
         return extras

@@ -33,6 +33,7 @@ from ...core.predicates import (
     col,
 )
 from ...errors import QueryError, SqlBindError
+from ...pdf.base import DEFAULT_GRID
 from ..catalog import Catalog
 from ..executor import (
     AggSpec,
@@ -62,19 +63,13 @@ from . import ast
 __all__ = ["plan_select", "execute_plan", "Binder"]
 
 
-def execute_plan(plan: Operator, config) -> List:
-    """Materialise a plan's rows through the batch or the scalar pipeline.
+def execute_plan(plan: Operator) -> List:
+    """Materialise a plan's rows through its batch pipeline.
 
-    ``batch_size <= 1`` deliberately bypasses ``plan.batches`` and runs the
-    scalar Volcano protocol (``iter(plan)``): wrapping single tuples in
-    :class:`TupleBatch` costs more than the kernels amortize (the 0.63x
-    regression of BENCH_engine.json at batch size 1), and the scalar
-    iterators are the reference implementation anyway.
+    ``iter(plan)``, the scalar Volcano protocol, is the reference oracle
+    the batch pipeline is tested against; it is not an execution mode.
     """
-    size = getattr(config, "batch_size", 1) or 1
-    if size <= 1:
-        return list(plan)
-    return [t for batch in plan.batches(size) for t in batch.tuples]
+    return [t for batch in plan.batches() for t in batch.tuples]
 
 
 _DTYPES = {
@@ -289,30 +284,44 @@ def _range_selectivity(table, attr: str, bounds: Tuple[float, float]) -> float:
     return _DEFAULT_RANGE_SEL
 
 
+def _hulls_sound(config) -> bool:
+    """Whether support-hull tests may prune under ``config``.
+
+    ``support()`` clips ``DEFAULT_GRID.tail_mass`` per tail, so a pdf whose
+    hull misses a range keeps at most that much mass inside it.  The
+    selection drops such a tuple only when ``mass_epsilon`` covers it.
+    Exact tests (certain ranges, mass thresholds) need no such guard.
+    """
+    return config.mass_epsilon >= DEFAULT_GRID.tail_mass
+
+
 def _build_pruner(
     table,
     ref: ast.TableRef,
     binder: Binder,
     value_terms: List[ast.BoolExpr],
     prob_terms: List[ast.ProbExpr],
-    config,
-) -> Optional[ScanPruner]:
+    hulls_sound: bool,
+) -> ScanPruner:
     """The :class:`ScanPruner` the WHERE conjuncts imply for one table.
 
     Range keys are the table's *bare* attribute names (page synopses and
     record prefixes know nothing about FROM-clause bindings), so range
     pruning also applies to the inputs of a join.  PROB-derived tests are
-    single-table only.  Returns None when both pruning config flags are
-    off.
+    single-table only.  Uncertain ranges test support hulls, so they are
+    kept only when ``hulls_sound``.
     """
-    if not (config.scan_pruning or config.lazy_decode):
-        return None
     schema = table.schema
     certain_ranges: Dict[str, Tuple[float, float]] = {}
     uncertain_ranges: Dict[str, Tuple[float, float]] = {}
 
     def merge(attr: str, bounds: Tuple[float, float]) -> None:
-        target = uncertain_ranges if schema.is_uncertain(attr) else certain_ranges
+        if schema.is_uncertain(attr):
+            if not hulls_sound:
+                return
+            target = uncertain_ranges
+        else:
+            target = certain_ranges
         old = target.get(attr)
         target[attr] = (
             bounds if old is None else (max(old[0], bounds[0]), min(old[1], bounds[1]))
@@ -347,7 +356,7 @@ def _build_pruner(
                     )
             # Each comparison conjunct of the inner predicate is individually
             # necessary for P(inner) > 0, so its range prunes like a value
-            # conjunct (same support-hull caveat as the PTI).
+            # conjunct.
             inner_terms = _flatten_conjuncts(prob.inner)
             for attr in {
                 b[0]
@@ -357,19 +366,12 @@ def _build_pruner(
                 bounds = _range_of(inner_terms, binder, attr)
                 if bounds is not None and schema.has_column(attr):
                     merge(attr, bounds)
-    return ScanPruner(
-        certain_ranges,
-        uncertain_ranges,
-        attr_thresholds,
-        exist_thresholds,
-        prune_pages=config.scan_pruning,
-        lazy=config.lazy_decode,
-    )
+    return ScanPruner(certain_ranges, uncertain_ranges, attr_thresholds, exist_thresholds)
 
 
-def _seq_estimate(table, rows: int, pruner: Optional[ScanPruner]) -> float:
+def _seq_estimate(table, rows: int, pruner: ScanPruner) -> float:
     """Estimated output rows of a (possibly lazily pruned) sequential scan."""
-    if pruner is None or not pruner.lazy:
+    if not pruner.lazy:
         return float(rows)
     est = float(rows)
     for ranges in (pruner.certain_ranges, pruner.uncertain_ranges):
@@ -394,8 +396,8 @@ def choose_scan(
     never answers.
     """
     table = catalog.get_table(ref.name)
-    config = catalog.config
-    pruner = _build_pruner(table, ref, binder, value_terms, prob_terms, config)
+    hulls_sound = _hulls_sound(catalog.config)
+    pruner = _build_pruner(table, ref, binder, value_terms, prob_terms, hulls_sound)
     rows = len(table.heap)
     pages = table.heap.num_pages
 
@@ -435,7 +437,8 @@ def choose_scan(
             candidates.append((_COST_PROBE + est * _COST_FETCH, btree))
         # PTI on an uncertain column: value-range conjuncts prune at
         # threshold 0; a PROB term over the same attribute tightens it.
-        for attr in table.ptis:
+        # Its entries are support hulls, so it needs hulls_sound.
+        for attr in table.ptis if hulls_sound else ():
             bounds = _range_of(value_terms, binder, attr)
             threshold = 0.0
             if bounds is None:
@@ -536,12 +539,12 @@ def plan_select(catalog: Catalog, stmt: ast.Select) -> Operator:
     if len(scans) == 1:
         plan = scans[0]
         if certain_preds:
-            if isinstance(plan, SeqScan) and plan.pruner is not None:
+            if isinstance(plan, SeqScan):
                 # Lazy decoding evaluates the exact certain predicate on the
                 # record prefix; the Filter above stays (it also serves the
-                # unpruned code paths), but tuples it would reject never
+                # unpruned scalar oracle), but tuples it would reject never
                 # decode their pdf payloads.
-                plan.pruner.set_certain_predicate(certain_pred)
+                plan.pruner.certain_predicate = certain_pred
             plan = Filter(plan, certain_pred, store, config)
     elif (
         len(scans) == 2

@@ -110,9 +110,10 @@ def _threshold_excluded(op: str, threshold: float, bound: float) -> bool:
 class ScanPruner:
     """The page- and tuple-level admission tests implied by a predicate set.
 
-    Built by the planner for one table; consulted by ``SeqScan`` /
-    ``Table.scan_batches``.  All tests are *necessary* conditions for a
-    tuple to survive the plan's own filters, so skipping failures is sound:
+    Built by the planner for one table; consulted by ``SeqScan.batches``
+    through ``Table.candidate_pages`` and ``Table.scan_segments``.  All
+    tests are *necessary* conditions for a tuple to survive the plan's own
+    filters, so skipping failures is sound:
 
     * ``certain_ranges`` — a conjunct pins attr into [lo, hi]; tuples with
       the value outside (or NULL, or missing) fail the Filter above.
@@ -120,7 +121,8 @@ class ScanPruner:
       range) restricts attr to [lo, hi]; a pdf whose support misses the
       range retains at most the clipped tail mass and is dropped by the
       selection's ``mass_epsilon`` cut, and a NULL pdf is excluded by the
-      selection outright.
+      selection outright.  The planner sets these only when
+      ``mass_epsilon`` covers the clipped tail.
     * ``attr_thresholds`` — ``PROB(pred on attr) >(=) p`` cannot hold when
       p exceeds the dependency set's total mass.
     * ``exist_thresholds`` — ``PROB(*) >(=) p`` cannot hold when p exceeds
@@ -133,9 +135,6 @@ class ScanPruner:
         "attr_thresholds",
         "exist_thresholds",
         "certain_predicate",
-        "prune_pages",
-        "lazy",
-        "_lazy_requested",
     )
 
     def __init__(
@@ -145,40 +144,22 @@ class ScanPruner:
         attr_thresholds: Optional[Dict[str, List[Tuple[str, float]]]] = None,
         exist_thresholds: Optional[List[Tuple[str, float]]] = None,
         certain_predicate: Optional[Predicate] = None,
-        prune_pages: bool = True,
-        lazy: bool = True,
     ):
         self.certain_ranges = certain_ranges or {}
         self.uncertain_ranges = uncertain_ranges or {}
         self.attr_thresholds = attr_thresholds or {}
         self.exist_thresholds = exist_thresholds or []
         self.certain_predicate = certain_predicate
-        self.prune_pages = prune_pages
-        self._lazy_requested = lazy
-        self._refresh_lazy()
 
-    def _refresh_lazy(self) -> None:
-        # Prefix-level tests only pay off when there is something to test.
-        self.lazy = self._lazy_requested and (
-            bool(self.certain_ranges)
-            or bool(self.uncertain_ranges)
-            or bool(self.attr_thresholds)
-            or bool(self.exist_thresholds)
-            or self.certain_predicate is not None
-        )
-
-    def set_certain_predicate(self, pred: Optional[Predicate]) -> None:
-        """Install the exact residual predicate (planner, single-table)."""
-        self.certain_predicate = pred
-        self._refresh_lazy()
-
-    def is_trivial(self) -> bool:
-        """True when the pruner can never skip anything but empty pages."""
-        return not (
+    @property
+    def lazy(self) -> bool:
+        """Whether to test record prefixes: only when there is something to test."""
+        return bool(
             self.certain_ranges
             or self.uncertain_ranges
             or self.attr_thresholds
             or self.exist_thresholds
+            or self.certain_predicate is not None
         )
 
     # -- page-level test ----------------------------------------------------

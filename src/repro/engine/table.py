@@ -159,59 +159,28 @@ class Table:
             t, _ = decode_tuple(record)
             yield rid, t
 
-    def scan_batches(
-        self,
-        size: int,
-        page_ids: Optional[list] = None,
-        pruner: Optional[ScanPruner] = None,
-    ) -> Iterator[list]:
-        """Sequential scan yielding lists of at most ``size`` decoded tuples.
-
-        A whole pinned page is decoded per buffer-pool fetch; page contents
-        are re-chunked to the requested batch size without changing order.
-        ``page_ids`` restricts the scan to a page subset (the pages a
-        pruned scan's synopses admit), in the order given.
-
-        With a lazy ``pruner``, each record's cheap prefix is decoded first
-        and the pdf payloads only for tuples the pruner admits — tuples it
-        rejects would be dropped by the plan's own filters, so downstream
-        results are unchanged.
-        """
-        lazy = pruner is not None and pruner.lazy
-        buf: list = []
-        for records in self.heap.scan_pages(page_ids):
-            for _rid, record in records:
-                if lazy:
-                    prefix = decode_prefix(record)
-                    if not pruner.admits_prefix(prefix):
-                        continue
-                    buf.append(prefix.complete())
-                else:
-                    buf.append(decode_tuple(record)[0])
-                if len(buf) >= size:
-                    yield buf
-                    buf = []
-        if buf:
-            yield buf
-
     def scan_segments(
         self,
         size: int,
         page_ids: Optional[list] = None,
         pruner: Optional[ScanPruner] = None,
     ) -> Iterator[Tuple[list, ColumnarSegment]]:
-        """Like :meth:`scan_batches`, but decodes pages *directly into
-        segment arrays*: each yielded ``(tuples, segment)`` pair carries a
-        :class:`~repro.core.columnar.ColumnarSegment` whose tuple-id vector
-        and certain-column float64 arrays were accumulated while the v5
-        record prefixes decoded, instead of being re-gathered from the
-        tuple dicts on first column access.
+        """Sequential scan yielding ``(tuples, segment)`` chunks of at most
+        ``size`` decoded tuples, in page order.
 
-        The tuple chunks are byte-for-byte the ones :meth:`scan_batches`
-        yields (same lazy pruner semantics: with a lazy pruner, pdf
-        payloads decode only for tuples the pruner admits), and the seeded
-        arrays equal the segment's own lazy gather exactly — this path
-        changes where the column build happens, never what it holds.
+        ``page_ids`` restricts the scan to a page subset (the pages a
+        pruned scan's synopses admit), in the order given.  With a lazy
+        ``pruner``, each record's cheap prefix is decoded first and the pdf
+        payloads only for tuples the pruner admits — tuples it rejects
+        would be dropped by the plan's own filters.
+
+        Pages decode *directly into segment arrays*: each chunk's
+        :class:`~repro.core.columnar.ColumnarSegment` has its tuple-id
+        vector and certain-column float64 arrays accumulated while the v5
+        record prefixes decoded, instead of being re-gathered from the
+        tuple dicts on first column access.  The seeded arrays equal the
+        segment's own lazy gather exactly — this path changes where the
+        column build happens, never what it holds.
         """
         certain_attrs = [
             c.name
@@ -260,7 +229,7 @@ class Table:
         without a synopsis (none built yet) are always visited — unknown
         means unprunable, never wrong.
         """
-        if pruner is None or not pruner.prune_pages:
+        if pruner is None:
             return list(self.heap.page_ids)
         out = []
         for page_id in self.heap.page_ids:

@@ -18,7 +18,6 @@ from repro.core import (
     ProbabilisticRelation,
     ProbabilisticSchema,
 )
-from repro.core.model import ModelConfig
 from repro.core.operations import PDF_OP_CACHE
 from repro.core.predicates import And, Comparison
 from repro.core.threshold import probability_of
@@ -30,7 +29,6 @@ from repro.engine.executor import (
     RelationScan,
     ThresholdFilter,
 )
-from repro.engine.sql.planner import execute_plan
 from repro.pdf import (
     BoxRegion,
     DiscretePdf,
@@ -73,6 +71,11 @@ def relations(draw, attr="v", name="r", id_col="sid", min_size=0, max_size=12):
     return rel
 
 
+def drain(plan, size):
+    """A plan's rows through its batch pipeline at ``size`` tuples per batch."""
+    return [t for b in plan.batches(size) for t in b.tuples]
+
+
 def run_both(make_plan):
     """Scalar rows and, per batch size, the flattened batch rows."""
     PDF_OP_CACHE.reset()
@@ -80,7 +83,7 @@ def run_both(make_plan):
     out = {}
     for size in BATCH_SIZES:
         PDF_OP_CACHE.reset()
-        out[size] = [t for b in make_plan().batches(size) for t in b.tuples]
+        out[size] = drain(make_plan(), size)
     return scalar, out
 
 
@@ -184,27 +187,3 @@ def test_threshold_filter_batch_equivalence(rel, p):
     scalar, batches = run_both(make_plan)
     for size, rows in batches.items():
         assert_rows_equal(scalar, rows, rel.store)
-
-
-class _NoBatchesScan(RelationScan):
-    """Scan that fails the test if the batch protocol is entered."""
-
-    def batches(self, size=256):
-        raise AssertionError(
-            "batch_size <= 1 must use the scalar iterator protocol"
-        )
-
-
-def test_batch_size_one_uses_scalar_protocol():
-    """At batch_size<=1, execute_plan must not wrap single tuples in
-    TupleBatch objects (the 0.63x regression of BENCH_engine)."""
-    schema = ProbabilisticSchema(
-        [Column("sid", DataType.INT), Column("v", DataType.REAL)], [{"v"}]
-    )
-    rel = ProbabilisticRelation(schema, name="fixed")
-    for i in range(10):
-        rel.insert(certain={"sid": i}, uncertain={"v": GaussianPdf(i, 2.0, attr="v")})
-    rows = execute_plan(_NoBatchesScan(rel), ModelConfig(batch_size=1))
-    assert [t.tuple_id for t in rows] == [t.tuple_id for t in rel.tuples]
-    # batch_size=0/None degrade to scalar too instead of crashing batched().
-    assert len(execute_plan(_NoBatchesScan(rel), ModelConfig(batch_size=0))) == 10

@@ -13,8 +13,11 @@ import re
 import pytest
 
 from repro import Database
-from repro.core.model import ModelConfig
+from repro.engine.sql.parser import parse
+from repro.engine.sql.planner import plan_select
 from repro.engine.stats import analyze_table
+
+from .test_batch_equivalence import drain
 
 
 def _insert_many(db, n=200, spread=100.0, seed=11):
@@ -26,7 +29,7 @@ def _insert_many(db, n=200, spread=100.0, seed=11):
 
 @pytest.fixture
 def db():
-    db = Database(config=ModelConfig(batch_size=64))
+    db = Database()
     db.execute("CREATE TABLE r (rid INT, grp INT, value REAL UNCERTAIN)")
     return db
 
@@ -157,6 +160,37 @@ class TestExplainEstimates:
             text = db.execute("EXPLAIN ANALYZE " + sql).plan_text
             match = re.search(rf"{scan}\([^)]*\)\s+\[est=(\d+) actual=(\d+)", text)
             assert match, f"{scan} missing est/actual in:\n{text}"
+
+    def test_every_scan_type_drains_like_the_oracle(self, db):
+        """Each access path, drained in small batches, yields the rows of
+        the unpruned scalar oracle ``iter(plan)``, in the same order."""
+        _insert_many(db, 200)
+        db.execute("CREATE TABLE o (oid INT, x REAL UNCERTAIN, y REAL UNCERTAIN, DEPENDENCY (x, y))")
+        for i in range(60):
+            db.execute(
+                f"INSERT INTO o VALUES ({i}, "
+                f"JOINT_GAUSSIAN([{float(i)}, {float(i)}], [[1, 0], [0, 1]]))"
+            )
+        db.execute("CREATE INDEX ON r (rid)")
+        db.execute("CREATE PROB INDEX ON r (value)")
+        db.execute("CREATE SPATIAL INDEX ON o (x, y)")
+        db.execute("ANALYZE")
+        cases = {
+            "BTreeScan": "SELECT rid FROM r WHERE rid < 5",
+            "PtiScan": "SELECT rid FROM r WHERE PROB(value > 95) >= 0.9",
+            "SpatialScan": "SELECT oid FROM o WHERE x > 1 AND x < 4 AND y > 1 AND y < 4",
+            "SeqScan": "SELECT rid, value FROM r WHERE grp < 10 AND value > 40",
+        }
+        for scan, sql in cases.items():
+            assert scan in plan(db, sql)
+            oracle = [
+                (t.tuple_id, t.certain)
+                for t in plan_select(db.catalog, parse(sql))
+            ]
+            assert oracle, scan
+            for size in (1, 7, 64):
+                rows = drain(plan_select(db.catalog, parse(sql)), size)
+                assert [(t.tuple_id, t.certain) for t in rows] == oracle, (scan, size)
 
     def test_explain_analyze_counts_match(self, db):
         _insert_many(db, 80)

@@ -199,17 +199,7 @@ class TestProbThresholds:
         zero-mass tuples are still dropped, only positive mass survives."""
         from dataclasses import replace
 
-        # Synopsis page pruning and lazy-decode support tests are both
-        # calibrated against the *default* epsilon (grid tail mass), so
-        # they go off together with it.
-        d = Database(
-            config=replace(
-                DEFAULT_CONFIG,
-                mass_epsilon=0.0,
-                scan_pruning=False,
-                lazy_decode=False,
-            )
-        )
+        d = Database(config=replace(DEFAULT_CONFIG, mass_epsilon=0.0))
         d.execute("CREATE TABLE t (rid INT, v REAL UNCERTAIN)")
         d.execute("INSERT INTO t VALUES (1, UNIFORM(0, 10))")
         d.execute("INSERT INTO t VALUES (2, GAUSSIAN(100, 1))")
